@@ -222,7 +222,9 @@ fn run(ctx: &mut ExperimentCtx) -> io::Result<()> {
     let pinned = TailModel::calibrated();
     let baseline = TailModel::constant(LEGACY_P95_FACTOR);
     let mut tbl = Vec::new();
-    let quantiles: [(&str, fn(&KneePoint) -> f64, TailCurve, TailCurve); 3] = [
+    // (quantile, its DES column, pinned curve, constant-factor curve)
+    type Quantile = (&'static str, fn(&KneePoint) -> f64, TailCurve, TailCurve);
+    let quantiles: [Quantile; 3] = [
         ("p95", |p| p.des_p95_ms, pinned.p95, baseline.p95),
         ("p99", |p| p.des_p99_ms, pinned.p99, baseline.p99),
         ("max", |p| p.des_max_ms, pinned.max, baseline.max),

@@ -12,37 +12,59 @@
 //! reproducible — which is what lets the record→replay loop assert
 //! *zero* divergence.
 //!
+//! The server speaks keep-alive HTTP/1.1. Each accepted connection gets
+//! its own thread, which serves requests until EOF, an error, an idle
+//! timeout, or shutdown, so the Prometheus and Kubernetes clients can
+//! each hold a connection open at once. Dropping the last
+//! [`FakeCluster`] handle closes every connection and ends its thread.
+//! Reads are bounded by the client's caps
+//! ([`MAX_HEADER_BYTES`](crate::http::MAX_HEADER_BYTES),
+//! [`MAX_BODY_BYTES`](crate::http::MAX_BODY_BYTES)); an oversize or
+//! unparseable request gets a `400` and loses its connection.
+//!
 //! Fault injection is a FIFO of [`Fault`]s consumed one per incoming
 //! request: drop the connection, delay past the client's timeout,
-//! answer 500, or answer garbage. Since the client opens one connection
-//! per request (`Connection: close`), a single injected fault maps to
-//! exactly one failed query attempt.
+//! answer 500, or answer garbage. Each request is read in full before
+//! its fault is taken, so one request == one fault, whatever the
+//! connection: a single injected fault maps to exactly one failed
+//! attempt, and an injected 500 is never turned into a connection reset
+//! by unread request bytes.
 
 use crate::backend::{LiveBackend, LiveConfig};
 use crate::clock::FakeClock;
-use crate::http::{urldecode, Endpoint, HttpClient};
+use crate::http::{read_body, read_head, urldecode, Endpoint, Framing, HttpClient, HttpError};
 use crate::kube::{KubeClient, KubeConfigLite};
 use crate::prom::PromClient;
 use pema_control::{ClusterBackend, WindowPoll, WindowRequest};
 use pema_sim::{Allocation, AppSpec, Evaluator as _, FluidEvaluator, WindowStats};
 use pema_trace::{json, prom};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
+
+/// How long a connection may sit idle (or stall mid-request) before the
+/// server closes it, as a real server's keep-alive timeout would.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long the server keeps draining a rejected request's bytes after
+/// its `400`, so the close does not reset the connection before the
+/// client reads the answer.
+const LINGER: Duration = Duration::from_secs(1);
 
 /// One injected failure, consumed by the next incoming request.
 #[derive(Debug, Clone)]
 pub enum Fault {
-    /// Accept, then close without responding.
+    /// Read the request, then close the connection without responding.
     DropConnection,
-    /// Stall before handling the request (drive client timeouts).
+    /// Read the request, then stall before answering it (drive client
+    /// timeouts).
     Delay(Duration),
-    /// Answer `500 Internal Server Error`.
+    /// Answer `500 Internal Server Error`; the connection stays open.
     Http500,
-    /// Answer `200 OK` with a body that is not JSON.
+    /// Answer `200 OK` with a body that is not JSON; the connection
+    /// stays open.
     GarbageBody,
 }
 
@@ -57,11 +79,14 @@ pub struct PatchEvent {
 
 /// Ground truth of the server's fault injection, for asserting client
 /// retry behavior (and the live backend's retry *telemetry*) against
-/// what the cluster actually did: requests served and faults fired,
-/// by kind. Queryable via [`FakeCluster::fault_stats`].
+/// what the cluster actually did: connections accepted, requests
+/// served, and faults fired, by kind. Queryable via
+/// [`FakeCluster::fault_stats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Requests served, faulted ones included.
+    /// TCP connections accepted.
+    pub connections: u64,
+    /// Requests read in full and served, faulted ones included.
     pub requests: u64,
     /// [`Fault::DropConnection`]s fired.
     pub dropped: u64,
@@ -95,15 +120,29 @@ struct State {
 struct Inner {
     state: Mutex<State>,
     addr: SocketAddr,
-    shutdown: AtomicBool,
+    /// Open connections by id, so shutdown can close them.
+    conns: Mutex<Vec<(u64, TcpStream)>>,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("fake cluster poisoned")
+    }
+
+    fn conns(&self) -> MutexGuard<'_, Vec<(u64, TcpStream)>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop so it notices the shutdown; it holds
-        // only a Weak to us, so it exits as soon as it fails to
-        // upgrade.
+        // Close every open connection, which ends its thread's blocking
+        // read, and wake the accept loop. Both hold only a Weak to us,
+        // so they exit as soon as they fail to upgrade.
+        let conns = self.conns.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for (_, conn) in conns.drain(..) {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
         let _ = TcpStream::connect(self.addr);
     }
 }
@@ -133,7 +172,7 @@ impl FakeCluster {
                 stats: FaultStats::default(),
             }),
             addr,
-            shutdown: AtomicBool::new(false),
+            conns: Mutex::new(Vec::new()),
         });
         let weak: Weak<Inner> = Arc::downgrade(&inner);
         std::thread::Builder::new()
@@ -189,64 +228,117 @@ impl FakeCluster {
         self.lock().stats.requests
     }
 
-    /// Requests served and faults fired so far, by kind — the ground
-    /// truth retry counters are asserted against.
+    /// Connections accepted, requests served and faults fired so far,
+    /// by kind — the ground truth retry counters are asserted against.
     pub fn fault_stats(&self) -> FaultStats {
         self.lock().stats.clone()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.inner.state.lock().expect("fake cluster poisoned")
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.inner.lock()
     }
 }
 
 fn accept_loop(listener: TcpListener, weak: Weak<Inner>) {
     for stream in listener.incoming() {
         let Some(inner) = weak.upgrade() else { return };
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         let Ok(stream) = stream else { continue };
-        handle(stream, &inner);
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        let id = {
+            let mut st = inner.lock();
+            st.stats.connections += 1;
+            st.stats.connections
+        };
+        inner.conns().push((id, handle));
+        drop(inner);
+        let conn_weak = weak.clone();
+        let spawned = std::thread::Builder::new()
+            .name("fake-cluster-conn".into())
+            .spawn(move || {
+                serve_requests(&stream, &conn_weak);
+                forget_conn(&conn_weak, id);
+            });
+        if spawned.is_err() {
+            forget_conn(&weak, id);
+        }
     }
 }
 
-fn handle(mut stream: TcpStream, inner: &Inner) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let fault = {
-        let mut st = inner.state.lock().expect("fake cluster poisoned");
-        st.stats.requests += 1;
-        let fault = st.faults.pop_front();
-        match &fault {
-            Some(Fault::DropConnection) => st.stats.dropped += 1,
-            Some(Fault::Delay(_)) => st.stats.delayed += 1,
-            Some(Fault::Http500) => st.stats.http500 += 1,
-            Some(Fault::GarbageBody) => st.stats.garbage += 1,
-            None => {}
-        }
-        fault
-    };
-    match fault {
-        Some(Fault::DropConnection) => return,
-        Some(Fault::Delay(d)) => std::thread::sleep(d),
-        Some(Fault::Http500) => {
-            respond(&mut stream, 500, "injected failure");
+fn forget_conn(weak: &Weak<Inner>, id: u64) {
+    if let Some(inner) = weak.upgrade() {
+        inner.conns().retain(|(i, _)| *i != id);
+    }
+}
+
+/// Serves requests on one connection until EOF, an error, a dropped
+/// connection, or shutdown.
+fn serve_requests(stream: &TcpStream, weak: &Weak<Inner>) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
+    let mut reader = BufReader::new(stream);
+    loop {
+        let req = match read_request(&mut reader) {
+            Ok(Some(req)) => req,
+            Err(HttpError::Malformed(e)) => {
+                let _ = respond(stream, 400, &e, false);
+                linger_close(stream);
+                return;
+            }
+            Ok(None) | Err(_) => return,
+        };
+        let Some((status, body)) = answer(&req, weak) else {
             return;
+        };
+        if respond(stream, status, &body, req.keep_alive).is_err() || !req.keep_alive {
+            return;
+        }
+    }
+}
+
+/// Takes the next fault off the FIFO for `req`, which has been read in
+/// full, and answers it. `None` drops the connection.
+fn answer(req: &Request, weak: &Weak<Inner>) -> Option<(u16, String)> {
+    let inner = weak.upgrade()?;
+    let mut st = inner.lock();
+    st.stats.requests += 1;
+    match st.faults.pop_front() {
+        None => Some(route(&mut st, req)),
+        Some(Fault::DropConnection) => {
+            st.stats.dropped += 1;
+            None
+        }
+        Some(Fault::Http500) => {
+            st.stats.http500 += 1;
+            Some((500, "injected failure".into()))
         }
         Some(Fault::GarbageBody) => {
-            respond(&mut stream, 200, "}{ this is not json");
-            return;
+            st.stats.garbage += 1;
+            Some((200, "}{ this is not json".into()))
         }
-        None => {}
+        Some(Fault::Delay(d)) => {
+            st.stats.delayed += 1;
+            drop(st);
+            drop(inner);
+            std::thread::sleep(d);
+            let inner = weak.upgrade()?;
+            let reply = route(&mut inner.lock(), req);
+            Some(reply)
+        }
     }
-    let Some(req) = read_request(&mut stream) else {
-        respond(&mut stream, 400, "bad request");
-        return;
-    };
-    let mut st = inner.state.lock().expect("fake cluster poisoned");
-    let (status, body) = route(&mut st, &req);
-    drop(st);
-    respond(&mut stream, status, &body);
+}
+
+/// After a `400`: stop sending, then drain what the client already sent
+/// (bounded), so closing does not reset the connection and destroy the
+/// answer before the client reads it.
+fn linger_close(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(LINGER));
+    let _ = std::io::copy(
+        &mut stream.take(crate::http::MAX_BODY_BYTES as u64),
+        &mut std::io::sink(),
+    );
 }
 
 struct Request {
@@ -254,60 +346,50 @@ struct Request {
     path: String,
     authorization: Option<String>,
     body: String,
+    /// The client lets the connection carry another request.
+    keep_alive: bool,
 }
 
-fn read_request(stream: &mut TcpStream) -> Option<Request> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let header_end = loop {
-        if let Some(pos) = find_blank_line(&buf) {
-            break pos;
-        }
-        let n = stream.read(&mut chunk).ok()?;
-        if n == 0 {
-            return None;
-        }
-        buf.extend_from_slice(&chunk[..n]);
+/// Reads one request in full, within the client's read caps. `Ok(None)`
+/// is the client closing an idle connection.
+fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError> {
+    let Some(head) = read_head(r, "request head")? else {
+        return Ok(None);
     };
-    let head = std::str::from_utf8(&buf[..header_end]).ok()?;
-    let mut lines = head.lines();
-    let mut request_line = lines.next()?.split_whitespace();
-    let method = request_line.next()?.to_string();
-    let path = request_line.next()?.to_string();
-    let mut content_length = 0usize;
-    let mut authorization = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse().ok()?;
-        } else if name.eq_ignore_ascii_case("authorization") {
-            authorization = Some(value.trim().to_string());
-        }
+    let mut line = head.start.split_whitespace();
+    let (Some(method), Some(path), Some(version)) = (line.next(), line.next(), line.next()) else {
+        return Err(HttpError::Malformed(format!(
+            "bad request line \"{}\"",
+            head.start
+        )));
+    };
+    if !version.starts_with("HTTP/1.") {
+        return Err(HttpError::Malformed(format!(
+            "unsupported version \"{version}\""
+        )));
     }
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).ok()?;
-        if n == 0 {
-            return None;
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    Some(Request {
-        method,
-        path,
-        authorization,
-        body: String::from_utf8(body).ok()?,
-    })
+    // A request without framing headers has no body.
+    let framing = match head.body_framing()? {
+        Framing::UntilEof => Framing::Length(0),
+        framing => framing,
+    };
+    let body = String::from_utf8(read_body(r, framing)?)
+        .map_err(|_| HttpError::Malformed("request body is not UTF-8".into()))?;
+    Ok(Some(Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        authorization: head.field("authorization").map(str::to_string),
+        body,
+        keep_alive: head.keeps_alive(version),
+    }))
 }
 
-fn find_blank_line(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn respond(stream: &mut TcpStream, status: u16, body: &str) {
+fn respond(
+    mut stream: &TcpStream,
+    status: u16,
+    body: &str,
+    keep_alive: bool,
+) -> std::io::Result<()> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -315,11 +397,16 @@ fn respond(stream: &mut TcpStream, status: u16, body: &str) {
         404 => "Not Found",
         _ => "Internal Server Error",
     };
+    let close = if keep_alive {
+        ""
+    } else {
+        "Connection: close\r\n"
+    };
     let resp = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "HTTP/1.1 {status} {reason}\r\nContent-Length: {}\r\n{close}\r\n{body}",
         body.len()
     );
-    let _ = stream.write_all(resp.as_bytes());
+    stream.write_all(resp.as_bytes())
 }
 
 fn route(st: &mut State, req: &Request) -> (u16, String) {
@@ -565,10 +652,9 @@ pub fn live_over_fake(app: &AppSpec, rps: f64) -> FakeLive {
 pub fn live_over_fake_with(app: &AppSpec, rps: f64, cfg: LiveConfig) -> FakeLive {
     let cluster = FakeCluster::start(app, rps);
     let clock = FakeClock::new();
-    let http = HttpClient {
-        connect_timeout: Duration::from_secs(2),
-        io_timeout: Duration::from_secs(2),
-    };
+    // Two clients, so two kept-alive connections: a clone starts with an
+    // empty connection cache.
+    let http = HttpClient::new(Duration::from_secs(2), Duration::from_secs(2));
     let prom = PromClient {
         endpoint: cluster.endpoint(),
         http: http.clone(),

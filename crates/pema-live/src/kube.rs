@@ -28,7 +28,8 @@ pub struct KubeConfigLite {
 /// Errors from one actuation attempt.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KubeError {
-    /// Transport failure.
+    /// The HTTP exchange failed: connect, timeout, a broken connection
+    /// ([`HttpError::Transport`]), or a response that is not HTTP.
     Http(HttpError),
     /// The API server rejected the PATCH.
     Status {
@@ -42,7 +43,7 @@ pub enum KubeError {
 impl std::fmt::Display for KubeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            KubeError::Http(e) => write!(f, "{e}"),
+            KubeError::Http(e) => write!(f, "kubernetes API: {e}"),
             KubeError::Status { code, body } => {
                 write!(f, "kubernetes API returned HTTP {code}: {body}")
             }
@@ -122,6 +123,15 @@ mod tests {
             },
             http: HttpClient::default(),
         }
+    }
+
+    #[test]
+    fn display_names_the_target_and_the_http_failure() {
+        let e = KubeError::Http(HttpError::Transport("Broken pipe".into()));
+        assert_eq!(
+            e.to_string(),
+            "kubernetes API: connection failed: Broken pipe"
+        );
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub struct Series {
 /// empty matrix is what it is).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PromError {
-    /// Transport-level failure.
+    /// The HTTP exchange failed: connect, timeout, a broken connection
+    /// ([`HttpError::Transport`]), or a response that is not HTTP.
     Http(HttpError),
     /// Well-formed HTTP, non-2xx status.
     Status(u16),
@@ -36,7 +37,7 @@ pub enum PromError {
 impl std::fmt::Display for PromError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PromError::Http(e) => write!(f, "{e}"),
+            PromError::Http(e) => write!(f, "prometheus: {e}"),
             PromError::Status(code) => write!(f, "prometheus returned HTTP {code}"),
             PromError::Malformed(e) => write!(f, "unparseable prometheus response: {e}"),
         }
@@ -219,6 +220,20 @@ mod tests {
             )),
             Err(PromError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn display_names_the_target_and_the_http_failure() {
+        let e = PromError::Http(HttpError::Transport("Connection reset by peer".into()));
+        assert_eq!(
+            e.to_string(),
+            "prometheus: connection failed: Connection reset by peer"
+        );
+        let e = PromError::Http(HttpError::Malformed("bad status line".into()));
+        assert_eq!(
+            e.to_string(),
+            "prometheus: malformed response: bad status line"
+        );
     }
 
     #[test]

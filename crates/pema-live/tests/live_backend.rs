@@ -4,20 +4,25 @@
 //! Covers the happy path, actuation (PATCH recording, bearer auth),
 //! every injected fault kind (drop, delay, 500, garbage body), retry
 //! exhaustion degrading to typed errors instead of panics, §6 early
-//! aborts, wall-clock pacing, and the tentpole record→replay loop:
-//! a dry-run tape replays through `TraceBackend` with zero divergence.
+//! aborts, wall-clock pacing, the record→replay loop (a dry-run tape
+//! replays through `TraceBackend` with zero divergence), and the
+//! keep-alive wire: the connection ledger, one fault per request over
+//! one connection, the server's read caps, and shutdown.
 
 use pema_control::{
     Clock, ClusterBackend, ControlLoop, Fleet, HarnessConfig, HoldPolicy, MemberSpec,
 };
 use pema_core::{PemaController, PemaParams};
+use pema_live::http::{MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use pema_live::{
-    live_over_fake, live_over_fake_with, Endpoint, FakeCluster, Fault, HttpClient, KubeClient,
-    KubeConfigLite, KubeError, LiveBackend, LiveConfig, LiveError, PromClient, PromError,
-    WallClock,
+    live_over_fake, live_over_fake_with, Endpoint, FakeCluster, Fault, HttpClient, HttpError,
+    KubeClient, KubeConfigLite, KubeError, LiveBackend, LiveConfig, LiveError, PromClient,
+    PromError, WallClock,
 };
 use pema_sim::{Allocation, AppSpec, Evaluator as _, FluidEvaluator, MIN_ALLOC};
 use pema_trace::{replay, TraceRecorder};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 fn app() -> AppSpec {
@@ -126,10 +131,7 @@ fn delay_fault_times_out_and_the_retry_succeeds() {
     // Manual wiring: a 100 ms read timeout against a 150 ms stall.
     let app = app();
     let cluster = FakeCluster::start(&app, RPS);
-    let http = HttpClient {
-        connect_timeout: Duration::from_secs(2),
-        io_timeout: Duration::from_millis(100),
-    };
+    let http = HttpClient::new(Duration::from_secs(2), Duration::from_millis(100));
     let clock = pema_live::FakeClock::new();
     let mut backend = LiveBackend::new(
         &app,
@@ -455,4 +457,173 @@ fn dry_run_records_a_tape_that_replays_with_zero_divergence() {
     for (recorded, replayed) in back.records.iter().zip(&rerun.result.log) {
         assert_eq!(recorded.action, replayed.action);
     }
+}
+
+fn prom_client(cluster: &FakeCluster) -> PromClient {
+    PromClient {
+        endpoint: cluster.endpoint(),
+        http: HttpClient::default(),
+    }
+}
+
+/// One range query for the offered load over `[0, 8]`.
+fn rate_query(prom: &PromClient) -> Result<Vec<pema_live::Series>, PromError> {
+    let query = pema_trace::prom::request_rate_query("pema", 8.0);
+    prom.query_range(&query, 0.0, 8.0, 8.0)
+}
+
+#[test]
+fn a_dropped_connection_surfaces_as_a_transport_error() {
+    let cluster = FakeCluster::start(&app(), RPS);
+    let prom = prom_client(&cluster);
+    cluster.inject_fault(Fault::DropConnection);
+    match rate_query(&prom) {
+        Err(PromError::Http(HttpError::Transport(_))) => {}
+        other => panic!("want a transport error, got {other:?}"),
+    }
+    // The next query reconnects and succeeds.
+    assert!(rate_query(&prom).is_ok());
+    let stats = cluster.fault_stats();
+    assert_eq!(
+        (stats.connections, stats.requests, stats.dropped),
+        (2, 2, 1)
+    );
+}
+
+#[test]
+fn two_hundred_http500s_over_one_connection_all_arrive_as_status_500() {
+    // The server drains each request before it answers, so an injected
+    // 500 can never reach the client as a connection reset.
+    let cluster = FakeCluster::start(&app(), RPS);
+    let prom = prom_client(&cluster);
+    for _ in 0..200 {
+        cluster.inject_fault(Fault::Http500);
+    }
+    for i in 0..200 {
+        assert_eq!(
+            rate_query(&prom),
+            Err(PromError::Status(500)),
+            "attempt {i}"
+        );
+    }
+    let stats = cluster.fault_stats();
+    assert_eq!(
+        (stats.connections, stats.requests, stats.http500),
+        (1, 200, 200)
+    );
+    assert!(rate_query(&prom).is_ok());
+}
+
+#[test]
+fn a_fault_free_run_keeps_one_connection_per_client() {
+    let app = app();
+    let live = live_over_fake(&app, RPS);
+    let cluster = live.cluster.clone();
+    let cfg = HarnessConfig {
+        interval_s: 8.0,
+        warmup_s: 1.0,
+        seed: 7,
+    };
+    let controller =
+        PemaController::new(PemaParams::defaults(app.slo_ms), app.generous_alloc.clone());
+    let mut control = ControlLoop::new(live, controller, cfg);
+    let windows = 50;
+    for _ in 0..windows {
+        control.step_once(RPS);
+    }
+    assert!(control.backend.backend.errors().is_empty());
+    let stats = cluster.fault_stats();
+    let patches = cluster.patches().len() as u64;
+    assert!(patches > 0, "the controller never moved a limit");
+    // One Prometheus connection and one Kubernetes connection, reused
+    // by every scrape and PATCH.
+    assert_eq!(stats.connections, 2);
+    assert_eq!(stats.requests, 6 * windows + patches);
+}
+
+#[test]
+fn each_dropped_connection_costs_exactly_one_new_connection() {
+    let mut live = live_over_fake(&app(), RPS);
+    live.measure_window(RPS, 1.0, 8.0);
+    assert_eq!(live.cluster.fault_stats().connections, 1);
+    for drops in 1..=3 {
+        live.cluster.inject_fault(Fault::DropConnection);
+        let stats = live.measure_window(RPS, 1.0, 8.0);
+        assert!(stats.p95_ms.is_finite());
+        assert_eq!(live.cluster.fault_stats().connections, 1 + drops);
+    }
+    assert!(live.backend.errors().is_empty());
+}
+
+fn connect(cluster: &FakeCluster) -> TcpStream {
+    let stream = TcpStream::connect(("127.0.0.1", cluster.endpoint().port)).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
+/// Sends `request`, half-closes, and returns everything the server
+/// answers up to its close.
+fn exchange_and_close(cluster: &FakeCluster, request: &[u8]) -> String {
+    let mut stream = connect(cluster);
+    // The server may answer (and stop reading) before all of an
+    // oversize request is written.
+    let _ = stream.write_all(request);
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).unwrap();
+    answer
+}
+
+#[test]
+fn oversize_requests_get_a_400_and_consume_no_fault() {
+    let cluster = FakeCluster::start(&app(), RPS);
+    cluster.inject_fault(Fault::Http500);
+    // An endless header stream, cut by the client at twice the cap.
+    let mut endless = b"GET /api/v1/query_range HTTP/1.1\r\n".to_vec();
+    while endless.len() < 2 * MAX_HEADER_BYTES {
+        endless.extend_from_slice(b"X-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
+    }
+    let answer = exchange_and_close(&cluster, &endless);
+    assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+    assert!(answer.contains("Connection: close"), "{answer}");
+    // A Content-Length beyond the body cap is refused before any body
+    // is read or allocated.
+    let huge = format!(
+        "PATCH /apis/apps/v1/namespaces/pema/deployments/x HTTP/1.1\r\nContent-Length: {}\r\n\r\n{{}}",
+        MAX_BODY_BYTES + 1
+    );
+    let answer = exchange_and_close(&cluster, huge.as_bytes());
+    assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+    // Neither reached the fault FIFO: the queued 500 still waits for
+    // the next request read in full.
+    let stats = cluster.fault_stats();
+    assert_eq!((stats.requests, stats.http500), (0, 0));
+    assert_eq!(
+        rate_query(&prom_client(&cluster)),
+        Err(PromError::Status(500))
+    );
+}
+
+#[test]
+fn dropping_the_fake_live_closes_its_connections() {
+    let mut live = live_over_fake(&app(), RPS);
+    live.measure_window(RPS, 1.0, 8.0);
+    // A third client that keeps its connection open past the drop.
+    let mut stream = connect(&live.cluster);
+    stream
+        .write_all(b"GET /nowhere HTTP/1.1\r\nHost: fake\r\n\r\n")
+        .unwrap();
+    let mut answer = Vec::new();
+    let mut buf = [0u8; 256];
+    while !String::from_utf8_lossy(&answer).ends_with("no route for GET /nowhere") {
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed a kept-alive connection");
+        answer.extend_from_slice(&buf[..n]);
+    }
+    drop(live);
+    // The server's connection thread closes its end and exits: EOF, not
+    // the read timeout.
+    assert_eq!(stream.read(&mut buf).unwrap(), 0);
 }
