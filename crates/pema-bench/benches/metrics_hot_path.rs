@@ -3,7 +3,7 @@
 //! per window).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pema_metrics::{LatencyHistogram, MovingAvg, P2Quantile};
+use pema_metrics::{LatencyHistogram, MovingAvg};
 
 fn bench_histogram(c: &mut Criterion) {
     c.bench_function("histogram_record", |b| {
@@ -23,17 +23,6 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
-fn bench_p2(c: &mut Criterion) {
-    c.bench_function("p2_record", |b| {
-        let mut p = P2Quantile::new(0.95);
-        let mut x = 0.001f64;
-        b.iter(|| {
-            x = (x * 1.37).rem_euclid(1.0).max(1e-5);
-            p.record(x);
-        });
-    });
-}
-
 fn bench_moving_avg(c: &mut Criterion) {
     c.bench_function("moving_avg_push", |b| {
         let mut m = MovingAvg::new(5);
@@ -45,5 +34,5 @@ fn bench_moving_avg(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_histogram, bench_p2, bench_moving_avg);
+criterion_group!(benches, bench_histogram, bench_moving_avg);
 criterion_main!(benches);

@@ -175,8 +175,8 @@ impl ExperimentCtx {
 
     // ---- experiment plumbing ----
 
-    /// The standard harness configuration (the single source of truth
-    /// shared with `pema::runner`), shrunk in smoke mode.
+    /// The standard harness configuration
+    /// ([`HarnessConfig::with_seed`]), shrunk in smoke mode.
     pub fn harness_cfg(&self, seed: u64) -> HarnessConfig {
         let mut cfg = HarnessConfig::with_seed(seed);
         if self.smoke {

@@ -2,16 +2,14 @@
 //!
 //! Every table and figure of the paper's evaluation (plus the
 //! ablations DESIGN.md calls out) is a registered [`Scenario`]: a
-//! ~30-line module with a `run(ctx)` function. The scenario registry
-//! replaces the old one-binary-per-figure layout; the binaries remain
-//! as one-line shims for muscle memory (`cargo run --release -p
-//! pema-bench --bin fig05`), and the `bench` driver runs any subset in
-//! parallel:
+//! ~30-line module with a `run(ctx)` function, and the `bench` driver
+//! runs any subset in parallel (`cargo run --release -p pema-bench
+//! --bin bench -- run fig05` runs one figure at full fidelity):
 //!
 //! ```text
 //! bench list                          show every scenario
 //! bench all  [--jobs N] [--smoke] [--force]
-//! bench run  --only fig05,fig11 [--jobs N] [--smoke] [--force]
+//! bench run  <id>... [--jobs N] [--smoke] [--force]
 //! ```
 //!
 //! Runs are **deterministic regardless of parallelism**: each scenario
@@ -38,7 +36,7 @@ pub mod registry;
 pub mod scenarios;
 
 pub use ctx::{default_results_dir, paper_apps, ExperimentCtx};
-pub use exec::{run_suite, scenario_main, BackendSel, Outcome, ScenarioReport, SuiteConfig};
+pub use exec::{run_suite, BackendSel, Outcome, ScenarioReport, SuiteConfig};
 pub use optm::{CachedOptimum, OptmCache};
 pub use perf::{run_perf, PerfConfig, PerfReport};
 pub use registry::{by_id, registry, Scenario};

@@ -44,6 +44,7 @@
 //! macro entries gate on `events_per_sec`.
 
 use crate::exec::{run_suite, SuiteConfig};
+use pema::pema_telemetry::json;
 use pema_metrics::LatencyHistogram;
 use pema_sim::{ClusterSim, SimTime};
 use pema_workload::{MmppWorkload, Workload};
@@ -987,245 +988,6 @@ impl PerfReport {
     }
 }
 
-/// Minimal JSON reader for the baseline files this harness itself
-/// emits (objects, arrays, strings, numbers, booleans, null). Strict
-/// enough to reject malformed files with a useful message; small
-/// enough to avoid a serde dependency the build image does not have.
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// Object as an ordered key/value list.
-        Obj(Vec<(String, Value)>),
-        /// Array.
-        Arr(Vec<Value>),
-        /// Number (always f64).
-        Num(f64),
-        /// String.
-        Str(String),
-        /// Boolean.
-        Bool(bool),
-        /// Null.
-        Null,
-    }
-
-    impl Value {
-        /// Object field lookup.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The value as an array, if it is one.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        /// The value as a number, if it is one.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The value as a string, if it is one.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    /// Escapes and quotes a string for JSON output.
-    pub fn quote(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Parses a complete JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, *pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_obj(b, pos),
-            Some(b'[') => parse_arr(b, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(_) => parse_num(b, pos),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", *pos))
-        }
-    }
-
-    fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut kv = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(kv));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            expect(b, pos, b':')?;
-            let val = parse_value(b, pos)?;
-            kv.push((key, val));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(kv));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = b
-                                .get(*pos..*pos + 4)
-                                .ok_or("truncated \\u escape")
-                                .and_then(|h| {
-                                    std::str::from_utf8(h).map_err(|_| "non-utf8 \\u escape")
-                                })
-                                .map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                            *pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", *pos)),
-                    }
-                }
-                _ => {
-                    // Re-borrow as UTF-8: back up and take the full char.
-                    *pos -= 1;
-                    let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    *pos += ch.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1260,23 +1022,6 @@ mod tests {
         );
         let m = parsed.get("macro").and_then(|v| v.as_array()).unwrap();
         assert_eq!(m[0].get("events").and_then(|v| v.as_f64()), Some(5000.0));
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v =
-            json::parse(r#"{"a": [1, -2.5e3, "x\n\"y\""], "b": {"c": null, "d": true}}"#).unwrap();
-        let a = v.get("a").and_then(|x| x.as_array()).unwrap();
-        assert_eq!(a[1].as_f64(), Some(-2500.0));
-        assert_eq!(a[2].as_str(), Some("x\n\"y\""));
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&json::Value::Null));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(json::parse("{").is_err());
-        assert!(json::parse("{} extra").is_err());
-        assert!(json::parse(r#"{"a": }"#).is_err());
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! Fig. 9 shows PEMA between two external systems: Prometheus (the
 //! telemetry source it *measures* from) and Kubernetes (the actuator it
 //! *applies* allocations through). A [`ClusterBackend`] bundles exactly
-//! those two roles behind one trait — [`measure_window`] is the
+//! those two roles behind one trait — [`poll_window`] is the
 //! Prometheus scrape, [`apply`] is the `kubectl patch` — so the loop in
 //! [`ControlLoop`](crate::ControlLoop) never knows whether it is
 //! driving the discrete-event simulator, the analytic fluid model, a
-//! recorded-trace replayer, or (future work) a live cluster.
+//! recorded-trace replayer, or a live cluster (`pema_live::LiveBackend`).
 //!
 //! Two backends live in this crate (the trace replayer is
 //! `pema_trace::TraceBackend`, one crate up):
@@ -23,7 +23,7 @@
 //!   (e.g. the `cluster_scale` scenario's policy sweep over the
 //!   120-service topology).
 //!
-//! [`measure_window`]: ClusterBackend::measure_window
+//! [`poll_window`]: ClusterBackend::poll_window
 //! [`apply`]: ClusterBackend::apply
 
 use pema_sim::{
@@ -42,13 +42,10 @@ pub struct EarlyCheck {
     pub slo_ms: f64,
 }
 
-/// Everything one monitoring window needs, as one value — the same
-/// parameters [`ClusterBackend::measure_window`] /
-/// [`measure_window_abortable`](ClusterBackend::measure_window_abortable)
-/// take as separate arguments, bundled so the non-blocking seam
-/// ([`begin_window`](ClusterBackend::begin_window) /
-/// [`poll_window`](ClusterBackend::poll_window)) can stay stateless in
-/// its default implementation.
+/// Everything one monitoring window needs, as one value: what
+/// [`begin_window`](ClusterBackend::begin_window) and every
+/// [`poll_window`](ClusterBackend::poll_window) of that window receive,
+/// so a backend that measures in one poll needs no state of its own.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowRequest {
     /// Offered load, requests/second.
@@ -106,28 +103,30 @@ pub enum WindowPoll {
 /// The telemetry-source + actuator pair of Fig. 9, as one object.
 ///
 /// A backend owns a (virtual or real) cluster running one application.
-/// The control loop talks to it through two equivalent seams, mirroring
-/// the paper's architecture:
+/// It implements one measurement seam — [`begin_window`](Self::begin_window)
+/// / [`poll_window`](Self::poll_window) — and gets the blocking helpers
+/// on top of it for free:
 ///
-/// | method | Fig. 9 role |
-/// |---|---|
-/// | [`apply`](Self::apply) | Kubernetes: set CPU limits |
-/// | [`allocation`](Self::allocation) | Kubernetes: read CPU limits |
-/// | [`measure_window`](Self::measure_window) | Prometheus: scrape one monitoring window |
-/// | [`measure_window_abortable`](Self::measure_window_abortable) | §6 high-resolution monitoring |
-/// | [`begin_window`](Self::begin_window) / [`poll_window`](Self::poll_window) | both of the above, non-blocking |
+/// | method | Fig. 9 role | implemented by |
+/// |---|---|---|
+/// | [`apply`](Self::apply) | Kubernetes: set CPU limits | backend |
+/// | [`allocation`](Self::allocation) | Kubernetes: read CPU limits | backend |
+/// | [`now_s`](Self::now_s) | the cluster's clock | backend |
+/// | [`poll_window`](Self::poll_window) | Prometheus: scrape one monitoring window (§6 early checks included) | backend |
+/// | [`begin_window`](Self::begin_window) / [`cancel_window`](Self::cancel_window) | open / abandon a window | backend, or the no-op default |
+/// | [`set_speed`](Self::set_speed) | Fig. 19 CPU-clock change | backend, or the no-op default |
+/// | [`measure_window`](Self::measure_window) / [`measure_window_abortable`](Self::measure_window_abortable) | one whole window, blocking | provided: begin + poll until `Ready` |
 ///
-/// The blocking seam (`measure_window*`) is what single-loop runs use;
-/// the non-blocking seam is how a [`Fleet`](crate::Fleet) drives many
-/// loops from one process. Default implementations make the
-/// non-blocking seam an exact wrapper of the blocking one, so a
-/// backend only ever implements the blocking methods and gets both.
+/// [`ControlLoop`](crate::ControlLoop) and [`Fleet`](crate::Fleet)
+/// drive only the non-blocking seam, so a fleet interleaves many loops
+/// from one process; the blocking helpers serve one-shot measurements
+/// and tests, and are results-identical to the seam by construction.
 ///
 /// Implementations must make `apply` take effect before the next
-/// measurement, must report the *actual* measured duration in
+/// measurement, and must report the *actual* measured duration in
 /// [`WindowStats::duration_s`] (shorter than requested when an early
-/// check aborts), and must keep both seams result-identical — the
-/// conformance suite in `tests/backend_conformance.rs` pins all three.
+/// check aborts) — the conformance suite in
+/// `tests/backend_conformance.rs` pins both.
 pub trait ClusterBackend {
     /// Applies an allocation (cores per service) to the cluster. Takes
     /// effect before the next measurement.
@@ -136,47 +135,16 @@ pub trait ClusterBackend {
     /// The allocation currently in force.
     fn allocation(&self) -> Allocation;
 
-    /// Drives offered load `rps` for `warmup_s` (settling, discarded)
-    /// plus `window_s` (measured) virtual seconds and returns the
-    /// window's observables.
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats;
-
-    /// Like [`measure_window`](Self::measure_window), but the running
-    /// p95 is checked against `slo_ms` every `check_s` seconds and the
-    /// window aborts on a breach (the paper's §6 high-resolution
-    /// monitoring extension). Returns the (possibly shortened) stats
-    /// and whether the window aborted.
-    ///
-    /// The default implementation measures the full window and never
-    /// aborts — correct for backends without intra-window visibility.
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        let _ = (check_s, slo_ms);
-        (self.measure_window(rps, warmup_s, window_s), false)
-    }
-
     /// Current virtual time, seconds. Strictly increases across
     /// measurements.
     fn now_s(&self) -> f64;
 
     /// Starts the monitoring window described by `req` without blocking
-    /// for it — the non-blocking half of the seam that lets one process
-    /// drive many loops (see [`Fleet`](crate::Fleet)). Poll the result
-    /// out with [`poll_window`](Self::poll_window), passing the *same*
-    /// request.
+    /// for it. Poll the result out with
+    /// [`poll_window`](Self::poll_window), passing the *same* request.
     ///
-    /// The default implementation prepares nothing: the default
-    /// [`poll_window`](Self::poll_window) measures the whole window in
-    /// its first poll through the blocking methods, so backends that
-    /// only implement the blocking seam keep working unchanged (and
-    /// behave identically — the conformance suite pins the
-    /// equivalence).
+    /// The default prepares nothing — right for backends whose
+    /// `poll_window` measures the whole window in its first poll.
     fn begin_window(&mut self, req: &WindowRequest) {
         let _ = req;
     }
@@ -185,40 +153,21 @@ pub trait ClusterBackend {
     /// once it completed (or aborted on an early check). `req` must be
     /// the request passed to [`begin_window`](Self::begin_window).
     ///
-    /// The default implementation completes the window in one poll by
-    /// delegating to [`measure_window`](Self::measure_window) (or
-    /// [`measure_window_abortable`](Self::measure_window_abortable)
-    /// when `req.early` is set), so its results are *exactly* the
-    /// blocking seam's. Backends with intra-window visibility (the DES)
-    /// override it to advance one check period per poll, which is what
-    /// replaces the blocking early-check spin: between polls the caller
-    /// is free to service other loops, and a breach cancels the window
-    /// at the next poll boundary.
-    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
-        match req.early {
-            Some(e) => {
-                let (stats, aborted) = self.measure_window_abortable(
-                    req.rps,
-                    req.warmup_s,
-                    req.window_s,
-                    e.check_s,
-                    e.slo_ms,
-                );
-                WindowPoll::Ready { stats, aborted }
-            }
-            None => WindowPoll::Ready {
-                stats: self.measure_window(req.rps, req.warmup_s, req.window_s),
-                aborted: false,
-            },
-        }
-    }
+    /// Drives offered load `req.rps` for `req.warmup_s` (settling,
+    /// discarded) plus `req.window_s` (measured) seconds. With
+    /// `req.early` set, the running p95 is checked against `slo_ms`
+    /// every `check_s` seconds and the window aborts on a breach (the
+    /// paper's §6 high-resolution monitoring extension). Backends with
+    /// intra-window visibility (the DES, a live cluster) advance one
+    /// check period per poll, so between polls the caller is free to
+    /// service other loops; backends without it complete in one poll.
+    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll;
 
     /// Abandons an in-progress window without producing statistics
     /// (fleet-level cancellation: a loop being torn down mid-window
     /// must not poison the backend for later use). The default is a
-    /// no-op — backends whose default [`poll_window`](Self::poll_window)
-    /// measures in one shot never have a window in flight between
-    /// calls.
+    /// no-op — backends that measure in one poll never have a window in
+    /// flight between calls.
     fn cancel_window(&mut self) {}
 
     /// Changes the modelled CPU speed factor (the Fig. 19 clock-change
@@ -227,6 +176,43 @@ pub trait ClusterBackend {
     /// different silicon.
     fn set_speed(&mut self, speed: f64) {
         let _ = speed;
+    }
+
+    /// Measures one full window (no early checks) and returns its
+    /// observables: [`begin_window`](Self::begin_window), then
+    /// [`poll_window`](Self::poll_window) until it is ready.
+    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
+        run_to_ready(self, &WindowRequest::new(rps, warmup_s, window_s)).0
+    }
+
+    /// Like [`measure_window`](Self::measure_window), with §6 early
+    /// checks every `check_s` seconds against `slo_ms`. Returns the
+    /// (possibly shortened) stats and whether the window aborted.
+    ///
+    /// # Panics
+    /// Panics unless `check_s` is positive (see
+    /// [`WindowRequest::with_early_check`]).
+    fn measure_window_abortable(
+        &mut self,
+        rps: f64,
+        warmup_s: f64,
+        window_s: f64,
+        check_s: f64,
+        slo_ms: f64,
+    ) -> (WindowStats, bool) {
+        let req = WindowRequest::new(rps, warmup_s, window_s).with_early_check(check_s, slo_ms);
+        run_to_ready(self, &req)
+    }
+}
+
+/// The blocking helpers' body: one window through the non-blocking
+/// seam, polled until ready.
+fn run_to_ready<B: ClusterBackend + ?Sized>(b: &mut B, req: &WindowRequest) -> (WindowStats, bool) {
+    b.begin_window(req);
+    loop {
+        if let WindowPoll::Ready { stats, aborted } = b.poll_window(req) {
+            return (stats, aborted);
+        }
     }
 }
 
@@ -241,21 +227,6 @@ impl<B: ClusterBackend + ?Sized> ClusterBackend for Box<B> {
 
     fn allocation(&self) -> Allocation {
         (**self).allocation()
-    }
-
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        (**self).measure_window(rps, warmup_s, window_s)
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        (**self).measure_window_abortable(rps, warmup_s, window_s, check_s, slo_ms)
     }
 
     fn now_s(&self) -> f64 {
@@ -335,22 +306,6 @@ impl ClusterBackend for SimBackend {
         self.sim.allocation()
     }
 
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        self.sim.run_window(rps, warmup_s, window_s)
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        self.sim
-            .run_window_abortable(rps, warmup_s, window_s, check_s, slo_ms)
-    }
-
     fn now_s(&self) -> f64 {
         self.sim.now().as_secs()
     }
@@ -362,21 +317,21 @@ impl ClusterBackend for SimBackend {
         );
         if let Some(e) = req.early {
             // `EarlyCheck` fields are public; catch a hand-built zero
-            // period here like the blocking path does, instead of
+            // period here like `WindowRequest::with_early_check` does, instead of
             // letting poll_window spin at a fixed virtual time.
             assert!(e.check_s > 0.0, "check interval must be positive");
         }
         self.inflight = Some(self.sim.open_window(req.rps, req.warmup_s, req.window_s));
     }
 
-    /// Incremental override: without early checks the single poll runs
-    /// the window to its end exactly like [`ClusterSim::run_window`];
-    /// with early checks each poll advances one check period and a
-    /// breach cancels the window at that poll boundary, replicating
-    /// [`ClusterSim::run_window_abortable`] slice for slice — so the
-    /// seam is bit-identical to the blocking one (the conformance
-    /// suite and the `pema-bench` goldens pin it) while letting a
-    /// fleet interleave other loops between checks.
+    /// Without early checks the single poll runs the window to its end
+    /// exactly like [`ClusterSim::run_window`]; with early checks each
+    /// poll advances one check period and a breach cancels the window
+    /// at that poll boundary, replicating
+    /// [`ClusterSim::run_window_abortable`] slice for slice (the
+    /// conformance suite's DES reference test and the `pema-bench`
+    /// goldens pin both) while letting a fleet interleave other loops
+    /// between checks.
     fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
         let w = self
             .inflight
@@ -529,18 +484,13 @@ impl ClusterBackend for FluidBackend {
         self.alloc.clone()
     }
 
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        self.evaluate(rps, warmup_s, window_s)
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
+    fn poll_window(&mut self, req: &WindowRequest) -> WindowPoll {
+        let Some(e) = req.early else {
+            return WindowPoll::Ready {
+                stats: self.evaluate(req.rps, req.warmup_s, req.window_s),
+                aborted: false,
+            };
+        };
         // The fluid model has no intra-window dynamics: a violating
         // window violates from its first second, so an early check at
         // `check_s` catches it immediately and the interval shrinks to
@@ -548,14 +498,20 @@ impl ClusterBackend for FluidBackend {
         // full-window result; only the abort branch re-evaluates (at
         // the shortened window, so the reported counters stay
         // duration-consistent).
-        self.eval.window_s = window_s;
-        let mut probe = self.eval.evaluate(&self.alloc, rps);
-        if probe.violates(slo_ms) && check_s < window_s {
-            (self.evaluate(rps, warmup_s, check_s), true)
+        self.eval.window_s = req.window_s;
+        let mut probe = self.eval.evaluate(&self.alloc, req.rps);
+        if probe.violates(e.slo_ms) && e.check_s < req.window_s {
+            WindowPoll::Ready {
+                stats: self.evaluate(req.rps, req.warmup_s, e.check_s),
+                aborted: true,
+            }
         } else {
-            probe.start_s = self.clock_s + warmup_s;
-            self.clock_s += warmup_s + window_s;
-            (probe, false)
+            probe.start_s = self.clock_s + req.warmup_s;
+            self.clock_s += req.warmup_s + req.window_s;
+            WindowPoll::Ready {
+                stats: probe,
+                aborted: false,
+            }
         }
     }
 

@@ -2,14 +2,15 @@
 //! from one process, optionally arbitrating a shared CPU budget
 //! across them.
 //!
-//! The paper's Fig. 9 loop controls a single application, and the
-//! blocking [`ClusterBackend::measure_window`] seam means one thread
+//! The paper's Fig. 9 loop controls a single application, and a
+//! blocking measurement (one whole window per call) means one thread
 //! can drive one loop. Production controllers are deployed fleet-wide:
 //! one process watching thousands of applications, each with its own
 //! monitoring windows, policy state, and virtual clock. This module is
-//! that multiplexer, built on the non-blocking
+//! that multiplexer, built on the backend's one measurement seam,
 //! [`begin_window`](ClusterBackend::begin_window) /
-//! [`poll_window`](ClusterBackend::poll_window) seam.
+//! [`poll_window`](ClusterBackend::poll_window), which never blocks
+//! for a whole window.
 //!
 //! ## Design: sharded poll executors, no tokio
 //!
@@ -99,9 +100,9 @@
 //! Two levels, both poll-boundary, neither spinning:
 //!
 //! * **early-check** — a window begun with an [`EarlyCheck`] aborts at
-//!   the first poll whose running p95 breaches the SLO (§6 semantics,
-//!   previously only available inside the blocking
-//!   `measure_window_abortable` spin). Per-shard heaps preserve this:
+//!   the first poll whose running p95 breaches the SLO (§6 semantics;
+//!   [`ClusterBackend::measure_window_abortable`] is the same poll
+//!   loop run to completion). Per-shard heaps preserve this:
 //!   the abort decision is a function of the member's own window state
 //!   alone, so it fires at the same virtual poll boundary no matter
 //!   which shard (or how many) the member runs in;

@@ -9,22 +9,25 @@
 //!
 //! | Fig. 9 role | paper component | here |
 //! |---|---|---|
-//! | telemetry source | Prometheus + cAdvisor scrape | [`ClusterBackend::measure_window`] |
+//! | telemetry source | Prometheus + cAdvisor scrape | [`ClusterBackend::begin_window`] / [`poll_window`] |
 //! | actuator | Kubernetes CPU-limit patch | [`ClusterBackend::apply`] |
 //! | decision logic | PEMA / manager / baselines | [`Policy`] implementations |
 //! | control cycle | measure → observe → act → apply | [`ControlLoop`] |
 //! | experiment wiring | testbed scripts | [`Experiment`] builder facade |
 //! | fleet-wide deployment | one controller, many apps | [`Fleet`] cooperative scheduler |
 //!
-//! Three [`ClusterBackend`]s ship today: [`SimBackend`] (the
+//! Four [`ClusterBackend`]s ship today: [`SimBackend`] (the
 //! discrete-event simulator — full fidelity, byte-identical to the
 //! pre-refactor harness), [`FluidBackend`] (the analytic fluid model
-//! — orders of magnitude faster, for large-scale sweeps), and
+//! — orders of magnitude faster, for large-scale sweeps),
 //! `pema_trace::TraceBackend` (replays a recorded run for
 //! counterfactual policy evaluation — its `apply` is a no-op that
-//! logs divergence from the tape). A live Kubernetes adapter slots in
-//! by implementing the same four methods; nothing above the trait
-//! changes.
+//! logs divergence from the tape), and `pema_live::LiveBackend`
+//! (Prometheus + the Kubernetes API over HTTP). A backend implements
+//! `apply`, `allocation`, `now_s` and `poll_window` (plus
+//! `begin_window`/`cancel_window` when a window spans several polls)
+//! and gets the blocking `measure_window*` helpers; nothing above the
+//! trait changes.
 //!
 //! ## Constructing runs
 //!
@@ -63,25 +66,6 @@
 //! at a deterministic window-boundary barrier.
 //!
 //! [`poll_window`]: ClusterBackend::poll_window
-//!
-//! ## Migrating from the old root-crate `runner` module
-//!
-//! | old (`pema::runner`) | new (`pema_control`) |
-//! |---|---|
-//! | `PemaRunner::new(&app, params, cfg)` | `Experiment::builder().app(&app).policy(Pema(params)).config(cfg)` |
-//! | `ManagedRunner::new(&app, params, rc, cfg)` | `….policy(Managed(params, rc))…` |
-//! | `RuleRunner::new(&app, cfg)` | `….policy(Rule)…` |
-//! | `ControlLoop::from_parts(&app, policy, cfg)` | `….policy(policy)…` (any [`Policy`] instance) |
-//! | `runner.run_const(rps, n)` | `….rps(rps).iters(n).run()` |
-//! | `runner.run_workload(&w, n)` | `….workload(w).iters(n).run()` |
-//! | `runner.with_early_check(s)` | `….early_check(s)` |
-//! | `runner.step_once(rps)` | `….build()` then `step_once(rps)` |
-//! | `runner.sim.set_speed(f)` | `runner.backend.set_speed(f)` (after `.build()`) |
-//! | ad-hoc CSV row collection around `step_once` | `….observer(\|log, stats\| …)` |
-//! | `stats_to_obs`, `optimum_for` | re-exported here, unchanged |
-//!
-//! The old paths still exist as a deprecated re-export module in the
-//! root crate for one transition period.
 
 mod arbitration;
 mod backend;

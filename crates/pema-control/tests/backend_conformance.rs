@@ -20,14 +20,16 @@
 //!   `measure_window`, early-check cancellation matches
 //!   `measure_window_abortable` — and `now_s` stays monotone while
 //!   windows of several backends are polled interleaved (the fleet
-//!   scheduler's contract).
+//!   scheduler's contract);
+//! * the DES poll seam reproduces the engine's own blocking
+//!   `ClusterSim::run_window` / `run_window_abortable` bit for bit.
 
 use pema_control::{
     ClusterBackend, ControlLoop, Experiment, FluidBackend, HarnessConfig, HoldPolicy, Instrumented,
     SimBackend, WindowPoll, WindowRequest,
 };
 use pema_live::{live_over_fake, Fault};
-use pema_sim::{Allocation, AppSpec, WindowStats, MIN_ALLOC};
+use pema_sim::{Allocation, AppSpec, ClusterSim, WindowStats, MIN_ALLOC};
 use pema_telemetry::Telemetry;
 use pema_trace::{TraceBackend, TraceRecorder};
 
@@ -473,4 +475,79 @@ fn live_backend_rides_out_first_poll_flakiness() {
         "live: clock must land at warmup + window (+ one short backoff), got {now}"
     );
     assert_eq!(stats.duration_s.to_bits(), 8.0f64.to_bits());
+}
+
+/// Every field of a window, floats as raw bits, in declaration order.
+fn stats_bits(s: &WindowStats) -> Vec<u64> {
+    let mut bits = vec![
+        s.start_s.to_bits(),
+        s.duration_s.to_bits(),
+        s.offered_rps.to_bits(),
+        s.achieved_rps.to_bits(),
+        s.completed,
+        s.arrivals,
+        s.mean_ms.to_bits(),
+        s.p50_ms.to_bits(),
+        s.p95_ms.to_bits(),
+        s.p99_ms.to_bits(),
+        s.max_ms.to_bits(),
+    ];
+    for svc in &s.per_service {
+        bits.extend([
+            svc.alloc_cores.to_bits(),
+            svc.util_pct.to_bits(),
+            svc.cpu_used_s.to_bits(),
+            svc.throttled_s.to_bits(),
+            svc.usage_p90_cores.to_bits(),
+            svc.usage_peak_cores.to_bits(),
+            svc.mem_bytes.to_bits(),
+            svc.visits,
+            svc.mean_self_ms.to_bits(),
+            svc.mean_visit_ms.to_bits(),
+        ]);
+    }
+    bits
+}
+
+#[test]
+fn sim_poll_seam_matches_the_engine_blocking_windows() {
+    // The DES reference: `SimBackend` measures only through the poll
+    // seam, so tie that seam to the engine's own blocking windows. A
+    // fresh `ClusterSim` built like `SimBackend::new` (same seed, same
+    // 8×SLO request timeout) runs `run_window` / `run_window_abortable`
+    // beside it; stats, abort flags and clocks must agree bit for bit.
+    let app = app();
+    let mut polled = SimBackend::new(&app, 42);
+    let mut engine = ClusterSim::new(&app, 42);
+    engine.set_request_timeout(Some(app.slo_ms / 1e3 * 8.0));
+    let same = |what: &str, got: &(WindowStats, bool), want: &(WindowStats, bool)| {
+        assert_eq!(
+            stats_bits(&got.0),
+            stats_bits(&want.0),
+            "{what}: stats differ from the engine"
+        );
+        assert_eq!(got.1, want.1, "{what}: abort flag differs from the engine");
+    };
+
+    let req = WindowRequest::new(120.0, 1.0, 5.0);
+    let (stats, aborted, _) = poll_to_ready(&mut polled, &req);
+    let want = (engine.run_window(120.0, 1.0, 5.0), false);
+    same("plain window", &(stats, aborted), &want);
+    assert_eq!(polled.now_s().to_bits(), engine.now().as_secs().to_bits());
+
+    let req = WindowRequest::new(120.0, 1.0, 8.0).with_early_check(2.0, app.slo_ms);
+    let (stats, aborted, _) = poll_to_ready(&mut polled, &req);
+    let want = engine.run_window_abortable(120.0, 1.0, 8.0, 2.0, app.slo_ms);
+    assert!(!want.1, "the healthy reference window must not abort");
+    same("healthy early-check window", &(stats, aborted), &want);
+    assert_eq!(polled.now_s().to_bits(), engine.now().as_secs().to_bits());
+
+    polled.apply(&starved(&app));
+    engine.set_allocation(&starved(&app));
+    let req = WindowRequest::new(150.0, 1.0, 8.0).with_early_check(2.0, app.slo_ms);
+    let (stats, aborted, _) = poll_to_ready(&mut polled, &req);
+    let want = engine.run_window_abortable(150.0, 1.0, 8.0, 2.0, app.slo_ms);
+    assert!(want.1, "the starved reference window must abort");
+    same("aborted window", &(stats, aborted), &want);
+    assert_eq!(polled.now_s().to_bits(), engine.now().as_secs().to_bits());
 }

@@ -684,22 +684,6 @@ impl ClusterBackend for FakeLive {
         self.backend.allocation()
     }
 
-    fn measure_window(&mut self, rps: f64, warmup_s: f64, window_s: f64) -> WindowStats {
-        self.backend.measure_window(rps, warmup_s, window_s)
-    }
-
-    fn measure_window_abortable(
-        &mut self,
-        rps: f64,
-        warmup_s: f64,
-        window_s: f64,
-        check_s: f64,
-        slo_ms: f64,
-    ) -> (WindowStats, bool) {
-        self.backend
-            .measure_window_abortable(rps, warmup_s, window_s, check_s, slo_ms)
-    }
-
     fn now_s(&self) -> f64 {
         self.backend.now_s()
     }

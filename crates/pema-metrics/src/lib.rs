@@ -1,30 +1,27 @@
 //! Metric primitives for the PEMA reproduction.
 //!
-//! The paper's controller consumes three observables, all of which are
-//! produced by metric machinery in this crate:
+//! The paper's controller consumes end-to-end latency percentiles
+//! (Linkerd in the paper), per-service CPU utilization and throttling
+//! (Prometheus), and moving averages of the response time. This crate
+//! holds the machinery the first and last of those need:
 //!
-//! * end-to-end latency percentiles (Linkerd in the paper) — served by
-//!   [`histogram::LatencyHistogram`] and the streaming estimator
-//!   [`p2::P2Quantile`];
-//! * per-service CPU utilization and CFS throttling time (Prometheus
-//!   `cpu_usage_seconds_total` / `cpu_cfs_throttled_seconds_total`) —
-//!   served by [`registry::MetricRegistry`] counters and gauges;
+//! * latency percentiles — [`histogram::LatencyHistogram`];
 //! * moving averages of the response time (Eqns. 10/11 of the paper) —
-//!   served by [`window::MovingAvg`] and [`window::RollingWindow`].
+//!   [`window::MovingAvg`], built on the ring buffer
+//!   [`window::RollingWindow`];
+//! * the summary statistics and regressions the experiments report —
+//!   [`stats`].
 //!
-//! Everything here is deterministic and allocation-conscious: histograms
-//! are fixed-size log-bucketed arrays, windows are ring buffers, and the
-//! registry hands out integer handles rather than string lookups on the
-//! hot path.
+//! The simulator accounts per-service CPU itself (`pema-sim`), and the
+//! control plane's self-telemetry registry lives in `pema-telemetry`.
+//! Everything here is deterministic and allocation-conscious:
+//! histograms are fixed-size log-bucketed arrays and windows are ring
+//! buffers.
 
 pub mod histogram;
-pub mod p2;
-pub mod registry;
 pub mod stats;
 pub mod window;
 
 pub use histogram::LatencyHistogram;
-pub use p2::P2Quantile;
-pub use registry::{CounterHandle, GaugeHandle, MetricRegistry, MetricSnapshot};
 pub use stats::{linear_regression, mean, percentile_sorted, std_dev, Summary};
 pub use window::{MovingAvg, RollingWindow};

@@ -1,13 +1,13 @@
-//! Minimal JSON reader/writer shared by the trace and telemetry
-//! subsystems.
+//! Minimal JSON reader/writer — the workspace's one JSON codec, shared
+//! by the trace and telemetry subsystems and the `pema-bench` perf
+//! harness (baseline files).
 //!
-//! The build environment has no route to a crates registry, so — like
-//! the perf harness in `pema-bench` — JSON is hand-rolled. This module
-//! started life in `pema-trace` (which still re-exports it as
-//! `pema_trace::json`) and moved here so the telemetry event sink can
-//! reuse it without a dependency cycle: `pema-telemetry` sits below
-//! `pema-control` in the graph, `pema-trace` above. Two requirements
-//! push it beyond a copy of the perf reader:
+//! The build environment has no route to a crates registry, so JSON is
+//! hand-rolled. This module started life in `pema-trace` (which still
+//! re-exports it as `pema_trace::json`) and moved here so the telemetry
+//! event sink can reuse it without a dependency cycle: `pema-telemetry`
+//! sits below `pema-control` in the graph, `pema-trace` above. Two
+//! requirements shape it:
 //!
 //! * **bit-exact `f64` round trips.** Numbers are *written* with
 //!   Rust's shortest-round-trip `Display` and *kept as raw tokens*
@@ -39,6 +39,15 @@ pub enum Value {
 }
 
 impl Value {
+    /// Object field lookup: the first value under `key`, if this is an
+    /// object that has one.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -440,11 +449,29 @@ mod tests {
         let s = "line\nwith \"quotes\" and \\ unicode é";
         let q = quote(s);
         assert_eq!(parse(&q).unwrap().as_str().unwrap(), s);
+        // Escapes inside nested containers, with object lookup.
+        let v = parse(r#"{"a": [1, -2.5e3, "x\n\"y\""], "b": {"c": null, "d": true}}"#).unwrap();
+        let a = v.get("a").and_then(|x| x.as_array()).unwrap();
+        assert_eq!(a[1].as_f64(), Some(-2500.0));
+        assert_eq!(a[2].as_str(), Some("x\n\"y\""));
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Null));
+        assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Bool(true)));
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(a[0].get("a"), None);
     }
 
     #[test]
     fn malformed_inputs_error() {
-        for bad in ["{", "[1,", "{\"a\" 1}", "12x", "\"open", "{\"a\":}"] {
+        for bad in [
+            "{",
+            "{} extra",
+            "[1,",
+            "{\"a\" 1}",
+            "12x",
+            "\"open",
+            "{\"a\":}",
+            "{\"a\": }",
+        ] {
             assert!(parse(bad).is_err(), "{bad} should not parse");
         }
     }

@@ -7,15 +7,27 @@
 //! per connection (`Connection: close`), which is exactly how
 //! Prometheus scrapes and how CI's `pema-cli metrics` reads it.
 //!
-//! Scrapes render the registry at request time on the server thread,
-//! so instrumented components never block on a scrape in progress.
+//! Each accepted connection is served on its own short-lived thread
+//! (at most `MAX_CONNECTIONS` at once), so a client that connects
+//! and sends nothing stalls only itself, never the next scrape.
+//! Connection threads also hold only the `Weak`, so dropping the last
+//! [`MetricsServer`] handle stops the listener even while a client
+//! idles. Scrapes render the registry at request time, so instrumented
+//! components never block on a scrape in progress.
 
 use crate::registry::Telemetry;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
+
+/// Connections served concurrently; further clients are closed
+/// unanswered until one finishes.
+const MAX_CONNECTIONS: usize = 32;
+
+/// How long a connection may take to send its request head.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 struct Inner {
     telemetry: Telemetry,
@@ -66,25 +78,43 @@ impl MetricsServer {
 }
 
 fn accept_loop(listener: TcpListener, weak: Weak<Inner>) {
+    let open = Arc::new(AtomicUsize::new(0));
     for stream in listener.incoming() {
-        let Some(inner) = weak.upgrade() else { return };
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
+        match weak.upgrade() {
+            Some(inner) if !inner.shutdown.load(Ordering::SeqCst) => {}
+            _ => return,
         }
         let Ok(stream) = stream else { continue };
-        handle(stream, &inner);
+        if open.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
+            open.fetch_sub(1, Ordering::SeqCst);
+            continue; // dropping the stream closes it
+        }
+        let (weak, slots) = (weak.clone(), Arc::clone(&open));
+        let spawned = std::thread::Builder::new()
+            .name("pema-metrics-conn".into())
+            .spawn(move || {
+                handle(stream, &weak);
+                slots.fetch_sub(1, Ordering::SeqCst);
+            });
+        if spawned.is_err() {
+            open.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 }
 
-fn handle(mut stream: TcpStream, inner: &Inner) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+fn handle(mut stream: TcpStream, weak: &Weak<Inner>) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let Some((method, path)) = read_request_line(&mut stream) else {
         respond(&mut stream, 400, "text/plain", "bad request");
         return;
     };
     match (method.as_str(), path.as_str()) {
         ("GET", "/metrics") => {
-            let body = inner.telemetry.render();
+            // Hold the server only for the render: a stopped server
+            // answers nothing.
+            let Some(body) = weak.upgrade().map(|inner| inner.telemetry.render()) else {
+                return;
+            };
             respond(
                 &mut stream,
                 200,
@@ -182,12 +212,58 @@ mod tests {
     }
 
     #[test]
-    fn server_stops_when_dropped() {
+    fn idle_client_does_not_stall_scrapes() {
         let srv = MetricsServer::serve("127.0.0.1:0", Telemetry::new()).unwrap();
         let addr = srv.local_addr();
+        // Connects and sends nothing: a serial server would sit in its
+        // read timeout (5 s) before accepting anyone else.
+        let idle = TcpStream::connect(addr).expect("idle connect");
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        let (status, _) = http_get(addr, "/metrics");
+        assert_eq!(status, 200);
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "scrape behind an idle client took {:?}",
+            started.elapsed()
+        );
+        // The idle client's thread must not keep the server alive.
         drop(srv);
-        // The wake connection may still be accepted; after it the
-        // listener is gone. Allow a brief grace period.
+        assert_listener_stops(addr);
+        drop(idle);
+    }
+
+    #[test]
+    fn connections_beyond_the_cap_are_closed_unanswered() {
+        let srv = MetricsServer::serve("127.0.0.1:0", Telemetry::new()).unwrap();
+        let addr = srv.local_addr();
+        let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("idle connect"))
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        let mut extra = TcpStream::connect(addr).expect("connect");
+        let _ = extra.write_all(b"GET /metrics HTTP/1.1\r\n\r\n");
+        let mut resp = String::new();
+        // Closed without an answer: EOF, or a reset for the unread request.
+        let _ = extra.read_to_string(&mut resp);
+        assert!(resp.is_empty(), "over-cap client was answered: {resp}");
+        drop(idle);
+        for _ in 0..50 {
+            std::thread::sleep(Duration::from_millis(10));
+            let mut s = TcpStream::connect(addr).expect("connect");
+            let _ = s.write_all(b"GET /metrics HTTP/1.1\r\n\r\n");
+            let mut resp = String::new();
+            if s.read_to_string(&mut resp).is_ok() && resp.starts_with("HTTP/1.1 200") {
+                return;
+            }
+        }
+        panic!("slots were not released after the idle clients left");
+    }
+
+    /// Waits for the listener at `addr` to stop accepting. The wake
+    /// connection may still be accepted; after it the listener is
+    /// gone. Allows a brief grace period.
+    fn assert_listener_stops(addr: SocketAddr) {
         for _ in 0..50 {
             if TcpStream::connect(addr).is_err() {
                 return;
@@ -195,5 +271,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         panic!("listener still accepting after drop");
+    }
+
+    #[test]
+    fn server_stops_when_dropped() {
+        let srv = MetricsServer::serve("127.0.0.1:0", Telemetry::new()).unwrap();
+        let addr = srv.local_addr();
+        drop(srv);
+        assert_listener_stops(addr);
     }
 }

@@ -21,7 +21,7 @@
 //! | [`pema_workload`] | constant / step / burst / diurnal load patterns |
 //! | [`pema_baselines`] | OPTM optimum search, RULE k8s-style scaler |
 //! | [`pema_classifier`] | bottleneck-detection study (paper Table 1) |
-//! | [`pema_metrics`] | histograms, quantiles, counters, windows |
+//! | [`pema_metrics`] | latency histograms, moving-average windows, summary statistics |
 //! | [`pema_trace`] | trace record/replay: versioned JSONL traces, [`TraceBackend`](pema_trace::TraceBackend) counterfactual replayer |
 //! | [`pema_live`] | live-cluster adapter: [`LiveBackend`](pema_live::LiveBackend) scrapes Prometheus / patches Kubernetes over hand-rolled HTTP, plus the in-process [`FakeCluster`](pema_live::FakeCluster) test server |
 //! | `pema-bench` | scenario registry + parallel deterministic executor |
@@ -60,12 +60,6 @@
 //!     .run();
 //! assert_eq!(result.log.len(), 5);
 //! ```
-
-#[deprecated(
-    since = "0.2.0",
-    note = "the harness moved to the `pema-control` crate; import from `pema::prelude` or `pema_control` (see its crate docs for the migration table)"
-)]
-pub mod runner;
 
 pub use pema_apps;
 pub use pema_baselines;
