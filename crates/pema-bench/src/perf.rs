@@ -401,22 +401,31 @@ fn run_macro_sims(smoke: bool, only: Option<&[String]>) -> Vec<MacroResult> {
     .collect()
 }
 
+/// The `(app, policy)` pick of fleet member `i`: the app cycles
+/// through the three `fleet_mix` templates and the policy (0 = PEMA,
+/// 1 = RULE, 2 = HOLD) advances once per app cycle, so every nine
+/// consecutive members cover every pair.
+fn fleet_pick(i: usize) -> (usize, usize) {
+    (i % 3, (i / 3) % 3)
+}
+
 /// Builds the standard mixed fluid fleet the macro benches drive:
-/// the three paper apps cycled, PEMA/RULE/HOLD policies cycled,
-/// sharded across `threads` workers (0 = auto).
+/// every paper app under every PEMA/RULE/HOLD policy (see
+/// [`fleet_pick`]), sharded across `threads` workers (0 = auto).
 fn build_fluid_fleet(apps: usize, iters: usize, threads: usize) -> pema::prelude::Fleet {
     use pema::prelude::*;
     let templates = pema_apps::fleet_mix();
     let mut fleet = Fleet::new().threads(threads);
     for i in 0..apps {
-        let (app, rps) = &templates[i % templates.len()];
+        let (app_idx, policy) = fleet_pick(i);
+        let (app, rps) = &templates[app_idx];
         let builder = Experiment::builder()
             .app(app)
             .backend(UseFluid)
             .config(HarnessConfig::with_seed(0xF1E + i as u64))
             .rps(*rps)
             .iters(iters);
-        fleet = match i % 3 {
+        fleet = match policy {
             0 => {
                 let mut p = PemaParams::defaults(app.slo_ms);
                 p.seed = i as u64;
@@ -991,6 +1000,19 @@ impl PerfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fleet_pick_covers_every_app_policy_pair() {
+        assert_eq!(pema_apps::fleet_mix().len(), 3);
+        let mut pairs: Vec<(usize, usize)> = (0..9).map(fleet_pick).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert_eq!(
+            pairs.len(),
+            9,
+            "first nine members repeat a pair: {pairs:?}"
+        );
+    }
 
     #[test]
     fn json_roundtrip_of_emitted_report() {

@@ -115,10 +115,8 @@ pub fn fit_curve(points: &[KneePoint], des: impl Fn(&KneePoint) -> f64 + Copy) -
         let mut best = TailCurve::flat(LEGACY_P95_FACTOR);
         let mut best_rms = f64::INFINITY;
         for &sharp in sharps {
-            let powed: Vec<(f64, f64, f64)> = data
-                .iter()
-                .map(|&(r, t)| (r, r.powf(sharp), t))
-                .collect();
+            let powed: Vec<(f64, f64, f64)> =
+                data.iter().map(|&(r, t)| (r, r.powf(sharp), t)).collect();
             for &base in bases {
                 for &slope in slopes {
                     for &gain in gains {

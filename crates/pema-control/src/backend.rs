@@ -18,8 +18,10 @@
 //!   the pre-refactor `ControlLoop` results byte-for-byte (pinned by
 //!   the golden-snapshot tests in `pema-bench`).
 //! * [`FluidBackend`] — wraps [`FluidEvaluator`], the M/G/1-PS analytic
-//!   model. Three to four orders of magnitude faster; shape-faithful
-//!   but approximate. It unlocks sweeps that are infeasible on the DES
+//!   model. One window costs 0.7–1.8 µs on the paper apps against
+//!   tens of milliseconds for a 10 s DES window (measured figures in
+//!   the `pema_sim::fluid` module docs); shape-faithful but
+//!   approximate. It unlocks sweeps that are infeasible on the DES
 //!   (e.g. the `cluster_scale` scenario's policy sweep over the
 //!   120-service topology).
 //!

@@ -11,6 +11,7 @@
 //! granularity (1m), which is below the controller's step sizes.
 
 use crate::http::{Endpoint, HttpClient, HttpError};
+use pema_trace::json;
 
 /// The subset of a kubeconfig the live actuator needs. No YAML
 /// parsing, no client certificates: host, bearer token, namespace.
@@ -38,6 +39,10 @@ pub enum KubeError {
         /// Response body (the API server's Status message).
         body: String,
     },
+    /// The API server answered 2xx, but the body is not the JSON
+    /// object (the patched Deployment) a real server returns, so the
+    /// PATCH cannot be taken as applied.
+    Malformed(String),
 }
 
 impl std::fmt::Display for KubeError {
@@ -47,6 +52,7 @@ impl std::fmt::Display for KubeError {
             KubeError::Status { code, body } => {
                 write!(f, "kubernetes API returned HTTP {code}: {body}")
             }
+            KubeError::Malformed(e) => write!(f, "unparseable kubernetes API response: {e}"),
         }
     }
 }
@@ -76,14 +82,15 @@ impl KubeClient {
                 r#"{{"spec":{{"template":{{"spec":{{"containers":"#,
                 r#"[{{"name":{},"resources":{{"limits":{{"cpu":"{}"}}}}}}]}}}}}}}}"#
             ),
-            pema_trace::json::quote(container),
+            json::quote(container),
             cores
         )
     }
 
     /// PATCHes one deployment's CPU limit. The deployment and its
     /// single app container are assumed to share the service name
-    /// (the repo's manifests generate them that way).
+    /// (the repo's manifests generate them that way). Only a 2xx whose
+    /// body parses as a JSON object counts as applied.
     pub fn patch_cpu_limit(&self, service: &str, cores: f64) -> Result<(), KubeError> {
         let mut headers = Vec::new();
         if let Some(token) = &self.config.token {
@@ -99,13 +106,19 @@ impl KubeClient {
                 Some(&Self::cpu_limit_body(service, cores)),
             )
             .map_err(KubeError::Http)?;
-        if resp.is_success() {
-            Ok(())
-        } else {
-            Err(KubeError::Status {
+        if !resp.is_success() {
+            return Err(KubeError::Status {
                 code: resp.status,
                 body: resp.body,
-            })
+            });
+        }
+        match json::parse(&resp.body) {
+            Ok(json::Value::Obj(_)) => Ok(()),
+            Ok(other) => Err(KubeError::Malformed(format!(
+                "expected an object, got {}",
+                other.kind()
+            ))),
+            Err(e) => Err(KubeError::Malformed(e)),
         }
     }
 }

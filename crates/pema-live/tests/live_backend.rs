@@ -1,10 +1,11 @@
 //! Integration tests: [`LiveBackend`] against [`FakeCluster`] — the
 //! full production wire path (HTTP over loopback), no cluster needed.
 //!
-//! Covers the happy path, actuation (PATCH recording, bearer auth),
-//! every injected fault kind (drop, delay, 500, garbage body), retry
-//! exhaustion degrading to typed errors instead of panics, §6 early
-//! aborts, wall-clock pacing, the record→replay loop (a dry-run tape
+//! Covers the happy path, actuation (PATCH recording, bearer auth, a
+//! garbage 2xx PATCH answer kept out of the shadow), every injected
+//! fault kind (drop, delay, 500, garbage body), retry exhaustion
+//! degrading to typed errors instead of panics, §6 early aborts,
+//! wall-clock pacing, the record→replay loop (a dry-run tape
 //! replays through `TraceBackend` with zero divergence), and the
 //! keep-alive wire: the connection ledger, one fault per request over
 //! one connection, the server's read caps, and shutdown.
@@ -105,6 +106,40 @@ fn bearer_auth_rejection_is_a_typed_error_not_a_panic() {
     // Measurement still works.
     let stats = live.measure_window(RPS, 0.5, 4.0);
     assert!(stats.p95_ms.is_finite());
+}
+
+#[test]
+fn a_garbage_2xx_patch_is_an_error_and_keeps_the_shadow() {
+    let mut live = live_over_fake(&app(), RPS);
+    let before = live.allocation();
+    // The fault answers the PATCH itself: 200 with a body that is not
+    // JSON, before the request reaches the fake's deployment route.
+    live.cluster.inject_fault(Fault::GarbageBody);
+    let mut next = before.clone();
+    next.set(0, 1.35);
+    live.apply(&next);
+    let errors = live.backend.take_errors();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    match &errors[0] {
+        LiveError::Patch {
+            service,
+            error: KubeError::Malformed(_),
+        } => assert_eq!(service, &app().services[0].name),
+        other => panic!("expected a malformed-response Patch error, got {other:?}"),
+    }
+    // Nothing was applied: the patch log did not grow, and the shadow
+    // kept the allocation the cluster still has in force.
+    assert!(live.cluster.patches().is_empty());
+    let (shadow, cluster) = (live.allocation(), live.cluster.allocation());
+    for i in 0..shadow.len() {
+        assert_eq!(shadow.get(i).to_bits(), cluster.get(i).to_bits());
+        assert_eq!(shadow.get(i).to_bits(), before.get(i).to_bits());
+    }
+    // The next PATCH lands as usual.
+    live.apply(&next);
+    assert!(live.backend.errors().is_empty());
+    assert_eq!(live.cluster.patches().len(), 1);
+    assert_eq!(live.allocation().get(0).to_bits(), 1.35f64.to_bits());
 }
 
 #[test]
