@@ -295,8 +295,8 @@ impl<P, B> ExperimentBuilder<P, B> {
 
     /// Attaches self-instrumentation: the loop records its interval
     /// counters and phase-span histograms into `hub` (labelled by the
-    /// app's name), e.g. for a scrapeable
-    /// [`MetricsServer`](pema_telemetry::MetricsServer). A pure side
+    /// app's name), e.g. for a scrapeable `pema_live::MetricsServer`
+    /// (a crate above this one, so not linked). A pure side
     /// channel — run output is byte-identical with or without it.
     pub fn telemetry(mut self, hub: &Telemetry) -> Self {
         self.telemetry = Some(hub.clone());

@@ -12,15 +12,10 @@
 //! reproducible — which is what lets the record→replay loop assert
 //! *zero* divergence.
 //!
-//! The server speaks keep-alive HTTP/1.1. Each accepted connection gets
-//! its own thread, which serves requests until EOF, an error, an idle
-//! timeout, or shutdown, so the Prometheus and Kubernetes clients can
-//! each hold a connection open at once. Dropping the last
-//! [`FakeCluster`] handle closes every connection and ends its thread.
-//! Reads are bounded by the client's caps
-//! ([`MAX_HEADER_BYTES`](crate::http::MAX_HEADER_BYTES),
-//! [`MAX_BODY_BYTES`](crate::http::MAX_BODY_BYTES)); an oversize or
-//! unparseable request gets a `400` and loses its connection.
+//! The routes run on this crate's one HTTP/1.1 server ([`crate::http`]),
+//! so the Prometheus and Kubernetes clients can each hold a keep-alive
+//! connection open at once, and dropping the last [`FakeCluster`]
+//! handle closes every connection.
 //!
 //! Fault injection is a FIFO of [`Fault`]s consumed one per incoming
 //! request: drop the connection, delay past the client's timeout,
@@ -32,26 +27,22 @@
 
 use crate::backend::{LiveBackend, LiveConfig};
 use crate::clock::FakeClock;
-use crate::http::{read_body, read_head, urldecode, Endpoint, Framing, HttpClient, HttpError};
+use crate::http::{self, urldecode, Endpoint, HttpClient, Reply, Request, Server};
 use crate::kube::{KubeClient, KubeConfigLite};
 use crate::prom::PromClient;
 use pema_control::{ClusterBackend, WindowPoll, WindowRequest};
 use pema_sim::{Allocation, AppSpec, Evaluator as _, FluidEvaluator, WindowStats};
 use pema_trace::{json, prom};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// How long a connection may sit idle (or stall mid-request) before the
-/// server closes it, as a real server's keep-alive timeout would.
-const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// How long the server keeps draining a rejected request's bytes after
-/// its `400`, so the close does not reset the connection before the
-/// client reads the answer.
-const LINGER: Duration = Duration::from_secs(1);
+/// Prometheus' own cap ("exceeded maximum resolution of 11,000 points
+/// per timeseries"), applied as Prometheus applies it: a `query_range`
+/// whose whole steps `(end - start) / step` exceed 11 000 is refused, so
+/// a served series holds at most 11 001 points and one request cannot
+/// make the matrix answer grow without bound.
+const MAX_STEPS: usize = 11_000;
 
 /// One injected failure, consumed by the next incoming request.
 #[derive(Debug, Clone)]
@@ -117,76 +108,39 @@ struct State {
     stats: FaultStats,
 }
 
-struct Inner {
-    state: Mutex<State>,
-    addr: SocketAddr,
-    /// Open connections by id, so shutdown can close them.
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-}
-
-impl Inner {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("fake cluster poisoned")
-    }
-
-    fn conns(&self) -> MutexGuard<'_, Vec<(u64, TcpStream)>> {
-        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // Close every open connection, which ends its thread's blocking
-        // read, and wake the accept loop. Both hold only a Weak to us,
-        // so they exit as soon as they fail to upgrade.
-        let conns = self.conns.get_mut().unwrap_or_else(PoisonError::into_inner);
-        for (_, conn) in conns.drain(..) {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
 /// Handle to a running fake cluster. Clones share the server; the
 /// server stops when the last handle drops.
 #[derive(Clone)]
 pub struct FakeCluster {
-    inner: Arc<Inner>,
+    state: Arc<Mutex<State>>,
+    server: Server,
 }
 
 impl FakeCluster {
     /// Boots the server for `app` under a constant `rps` workload.
     pub fn start(app: &AppSpec, rps: f64) -> FakeCluster {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr");
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                app: app.clone(),
-                eval: FluidEvaluator::new(app),
-                alloc: Allocation::new(app.generous_alloc.clone()),
-                rps,
-                token: None,
-                patches: Vec::new(),
-                scrapes: Vec::new(),
-                faults: VecDeque::new(),
-                stats: FaultStats::default(),
-            }),
-            addr,
-            conns: Mutex::new(Vec::new()),
-        });
-        let weak: Weak<Inner> = Arc::downgrade(&inner);
-        std::thread::Builder::new()
-            .name("fake-cluster".into())
-            .spawn(move || accept_loop(listener, weak))
-            .expect("spawn fake-cluster thread");
-        FakeCluster { inner }
+        let state = Arc::new(Mutex::new(State {
+            app: app.clone(),
+            eval: FluidEvaluator::new(app),
+            alloc: Allocation::new(app.generous_alloc.clone()),
+            rps,
+            token: None,
+            patches: Vec::new(),
+            scrapes: Vec::new(),
+            faults: VecDeque::new(),
+            stats: FaultStats::default(),
+        }));
+        let shared = Arc::clone(&state);
+        let server =
+            http::serve("127.0.0.1:0", move |req| answer(&shared, req)).expect("bind loopback");
+        FakeCluster { state, server }
     }
 
     /// The server's HTTP endpoint.
     pub fn endpoint(&self) -> Endpoint {
         Endpoint {
             host: "127.0.0.1".into(),
-            port: self.inner.addr.port(),
+            port: self.server.local_addr().port(),
         }
     }
 
@@ -231,77 +185,25 @@ impl FakeCluster {
     /// Connections accepted, requests served and faults fired so far,
     /// by kind — the ground truth retry counters are asserted against.
     pub fn fault_stats(&self) -> FaultStats {
-        self.lock().stats.clone()
+        FaultStats {
+            connections: self.server.connections(),
+            ..self.lock().stats.clone()
+        }
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
-        self.inner.lock()
+        lock(&self.state)
     }
 }
 
-fn accept_loop(listener: TcpListener, weak: Weak<Inner>) {
-    for stream in listener.incoming() {
-        let Some(inner) = weak.upgrade() else { return };
-        let Ok(stream) = stream else { continue };
-        let Ok(handle) = stream.try_clone() else {
-            continue;
-        };
-        let id = {
-            let mut st = inner.lock();
-            st.stats.connections += 1;
-            st.stats.connections
-        };
-        inner.conns().push((id, handle));
-        drop(inner);
-        let conn_weak = weak.clone();
-        let spawned = std::thread::Builder::new()
-            .name("fake-cluster-conn".into())
-            .spawn(move || {
-                serve_requests(&stream, &conn_weak);
-                forget_conn(&conn_weak, id);
-            });
-        if spawned.is_err() {
-            forget_conn(&weak, id);
-        }
-    }
-}
-
-fn forget_conn(weak: &Weak<Inner>, id: u64) {
-    if let Some(inner) = weak.upgrade() {
-        inner.conns().retain(|(i, _)| *i != id);
-    }
-}
-
-/// Serves requests on one connection until EOF, an error, a dropped
-/// connection, or shutdown.
-fn serve_requests(stream: &TcpStream, weak: &Weak<Inner>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-    let mut reader = BufReader::new(stream);
-    loop {
-        let req = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Err(HttpError::Malformed(e)) => {
-                let _ = respond(stream, 400, &e, false);
-                linger_close(stream);
-                return;
-            }
-            Ok(None) | Err(_) => return,
-        };
-        let Some((status, body)) = answer(&req, weak) else {
-            return;
-        };
-        if respond(stream, status, &body, req.keep_alive).is_err() || !req.keep_alive {
-            return;
-        }
-    }
+fn lock(state: &Mutex<State>) -> MutexGuard<'_, State> {
+    state.lock().expect("fake cluster poisoned")
 }
 
 /// Takes the next fault off the FIFO for `req`, which has been read in
 /// full, and answers it. `None` drops the connection.
-fn answer(req: &Request, weak: &Weak<Inner>) -> Option<(u16, String)> {
-    let inner = weak.upgrade()?;
-    let mut st = inner.lock();
+fn answer(state: &Mutex<State>, req: &Request) -> Option<Reply> {
+    let mut st = lock(state);
     st.stats.requests += 1;
     match st.faults.pop_front() {
         None => Some(route(&mut st, req)),
@@ -311,105 +213,22 @@ fn answer(req: &Request, weak: &Weak<Inner>) -> Option<(u16, String)> {
         }
         Some(Fault::Http500) => {
             st.stats.http500 += 1;
-            Some((500, "injected failure".into()))
+            Some(Reply::text(500, "injected failure"))
         }
         Some(Fault::GarbageBody) => {
             st.stats.garbage += 1;
-            Some((200, "}{ this is not json".into()))
+            Some(Reply::json(200, "}{ this is not json"))
         }
         Some(Fault::Delay(d)) => {
             st.stats.delayed += 1;
             drop(st);
-            drop(inner);
             std::thread::sleep(d);
-            let inner = weak.upgrade()?;
-            let reply = route(&mut inner.lock(), req);
-            Some(reply)
+            Some(route(&mut lock(state), req))
         }
     }
 }
 
-/// After a `400`: stop sending, then drain what the client already sent
-/// (bounded), so closing does not reset the connection and destroy the
-/// answer before the client reads it.
-fn linger_close(stream: &TcpStream) {
-    let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(LINGER));
-    let _ = std::io::copy(
-        &mut stream.take(crate::http::MAX_BODY_BYTES as u64),
-        &mut std::io::sink(),
-    );
-}
-
-struct Request {
-    method: String,
-    path: String,
-    authorization: Option<String>,
-    body: String,
-    /// The client lets the connection carry another request.
-    keep_alive: bool,
-}
-
-/// Reads one request in full, within the client's read caps. `Ok(None)`
-/// is the client closing an idle connection.
-fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError> {
-    let Some(head) = read_head(r, "request head")? else {
-        return Ok(None);
-    };
-    let mut line = head.start.split_whitespace();
-    let (Some(method), Some(path), Some(version)) = (line.next(), line.next(), line.next()) else {
-        return Err(HttpError::Malformed(format!(
-            "bad request line \"{}\"",
-            head.start
-        )));
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Malformed(format!(
-            "unsupported version \"{version}\""
-        )));
-    }
-    // A request without framing headers has no body.
-    let framing = match head.body_framing()? {
-        Framing::UntilEof => Framing::Length(0),
-        framing => framing,
-    };
-    let body = String::from_utf8(read_body(r, framing)?)
-        .map_err(|_| HttpError::Malformed("request body is not UTF-8".into()))?;
-    Ok(Some(Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        authorization: head.field("authorization").map(str::to_string),
-        body,
-        keep_alive: head.keeps_alive(version),
-    }))
-}
-
-fn respond(
-    mut stream: &TcpStream,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        401 => "Unauthorized",
-        404 => "Not Found",
-        _ => "Internal Server Error",
-    };
-    let close = if keep_alive {
-        ""
-    } else {
-        "Connection: close\r\n"
-    };
-    let resp = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Length: {}\r\n{close}\r\n{body}",
-        body.len()
-    );
-    stream.write_all(resp.as_bytes())
-}
-
-fn route(st: &mut State, req: &Request) -> (u16, String) {
+fn route(st: &mut State, req: &Request) -> Reply {
     if req.method == "GET" {
         if let Some(qs) = req.path.strip_prefix("/api/v1/query_range?") {
             return query_range(st, qs);
@@ -422,10 +241,10 @@ fn route(st: &mut State, req: &Request) -> (u16, String) {
             }
         }
     }
-    (404, format!("no route for {} {}", req.method, req.path))
+    Reply::no_route(req)
 }
 
-fn query_range(st: &mut State, query_string: &str) -> (u16, String) {
+fn query_range(st: &mut State, query_string: &str) -> Reply {
     let mut query = None;
     let mut start = None;
     let mut end = None;
@@ -444,10 +263,16 @@ fn query_range(st: &mut State, query_string: &str) -> (u16, String) {
         }
     }
     let (Some(query), Some(start), Some(end), Some(step)) = (query, start, end, step) else {
-        return (400, "missing query/start/end/step".into());
+        return Reply::text(400, "missing query/start/end/step");
     };
-    if end <= start || step <= 0.0 {
-        return (400, "bad range".into());
+    if !(start.is_finite() && end.is_finite() && step.is_finite()) || end <= start || step <= 0.0 {
+        return Reply::text(400, "bad range");
+    }
+    if ((end - start) / step).floor() > MAX_STEPS as f64 {
+        return Reply::text(
+            400,
+            "exceeded maximum resolution of 11,000 points per timeseries",
+        );
     }
     st.scrapes.push((start, end));
     // Evaluate the current allocation under the constant workload over
@@ -465,9 +290,9 @@ fn query_range(st: &mut State, query_string: &str) -> (u16, String) {
             per_service(st, &stats, |s, _| s.cpu_used_s / (end - start))
         }
         Some(QueryKind::CpuThrottled) => per_service(st, &stats, |s, _| s.throttled_s),
-        None => return (400, format!("unrecognized query: {query}")),
+        None => return Reply::text(400, format!("unrecognized query: {query}")),
     };
-    (200, matrix_json(&series, start, end, step))
+    Reply::json(200, matrix_json(&series, start, end, step))
 }
 
 enum QueryKind {
@@ -530,12 +355,15 @@ fn matrix_json(series: &[(String, f64)], start: f64, end: f64, step: f64) -> Str
         }
         out.push_str(r#"},"values":["#);
         let mut t = start;
-        let mut first = true;
-        while t <= end {
-            if !first {
+        // Counted as well: a step below half an ulp of `t` never
+        // advances it.
+        for k in 0..=MAX_STEPS {
+            if t > end {
+                break;
+            }
+            if k > 0 {
                 out.push(',');
             }
-            first = false;
             out.push_str(&format!("[{t},\"{}\"]", sample_value(*value)));
             t += step;
         }
@@ -557,26 +385,26 @@ fn sample_value(v: f64) -> String {
     }
 }
 
-fn patch_deployment(st: &mut State, name: &str, req: &Request) -> (u16, String) {
+fn patch_deployment(st: &mut State, name: &str, req: &Request) -> Reply {
     if let Some(token) = &st.token {
         let want = format!("Bearer {token}");
-        if req.authorization.as_deref() != Some(want.as_str()) {
-            return (401, r#"{"kind":"Status","reason":"Unauthorized"}"#.into());
+        if req.field("authorization") != Some(want.as_str()) {
+            return Reply::json(401, r#"{"kind":"Status","reason":"Unauthorized"}"#);
         }
     }
     let Some(i) = st.app.services.iter().position(|s| s.name == name) else {
-        return (404, format!("no deployment {name}"));
+        return Reply::text(404, format!("no deployment {name}"));
     };
     let cores = match parse_patch_cores(&req.body, name) {
         Ok(c) => c,
-        Err(e) => return (400, e),
+        Err(e) => return Reply::text(400, e),
     };
     st.alloc.set(i, cores);
     st.patches.push(PatchEvent {
         service: name.to_string(),
         cores,
     });
-    (200, r#"{"kind":"Deployment"}"#.into())
+    Reply::json(200, r#"{"kind":"Deployment"}"#)
 }
 
 /// Extracts `spec.template.spec.containers[name].resources.limits.cpu`

@@ -1,6 +1,6 @@
-//! A minimal HTTP/1.1 client over [`std::net::TcpStream`], and the
-//! bounded message readers it shares with the in-process
-//! [`FakeCluster`](crate::FakeCluster).
+//! A minimal HTTP/1.1 client over [`std::net::TcpStream`], the one
+//! threaded HTTP/1.1 server of this crate, and the bounded message
+//! readers both share.
 //!
 //! The live loop issues a handful of small requests per monitoring
 //! window (six Prometheus range queries, one Kubernetes PATCH per
@@ -23,11 +23,23 @@
 //! Every read is bounded: a message head by [`MAX_HEADER_BYTES`], a body
 //! by [`MAX_BODY_BYTES`], and no claimed length is allocated before its
 //! bytes arrive.
+//!
+//! The server behind [`FakeCluster`](crate::FakeCluster) and
+//! [`MetricsServer`](crate::MetricsServer) is a route handler on one
+//! accept loop. Each connection gets its own thread (at most
+//! `MAX_CONNECTIONS` at once; a client beyond the cap is closed
+//! unanswered), which reads every request in full within the same caps,
+//! answers a malformed one with `400` and a lingering close, keeps the
+//! connection open as the request's HTTP version and `Connection`
+//! header allow, and closes it after `IDLE_TIMEOUT` without traffic.
+//! Threads hold only a `Weak` to the server, so dropping its last
+//! handle closes every open connection and stops the accept loop.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Mutex, PoisonError};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Duration;
 
 /// Largest message head (start line plus header fields) read from a
@@ -341,15 +353,15 @@ fn read_response<R: BufRead>(r: &mut R) -> Result<(Response, bool), HttpError> {
 }
 
 /// A message head: the start line and its header fields.
-pub(crate) struct Head {
+struct Head {
     /// Request line or status line.
-    pub(crate) start: String,
+    start: String,
     fields: Vec<(String, String)>,
 }
 
 impl Head {
     /// The value of header `name` (case-insensitive), if present.
-    pub(crate) fn field(&self, name: &str) -> Option<&str> {
+    fn field(&self, name: &str) -> Option<&str> {
         self.fields
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
@@ -359,7 +371,7 @@ impl Head {
     /// Whether the sender lets the connection carry another message:
     /// HTTP/1.1 unless `Connection: close`, HTTP/1.0 only with
     /// `Connection: keep-alive`.
-    pub(crate) fn keeps_alive(&self, version: &str) -> bool {
+    fn keeps_alive(&self, version: &str) -> bool {
         let tokens = self.field("connection").unwrap_or("");
         let has = |t: &str| tokens.split(',').any(|x| x.trim().eq_ignore_ascii_case(t));
         if version == "HTTP/1.0" {
@@ -371,7 +383,7 @@ impl Head {
 
     /// How the body that follows this head is delimited. A length
     /// beyond [`MAX_BODY_BYTES`] is rejected here, before any read.
-    pub(crate) fn body_framing(&self) -> Result<Framing, HttpError> {
+    fn body_framing(&self) -> Result<Framing, HttpError> {
         if let Some(te) = self.field("transfer-encoding") {
             return if te.eq_ignore_ascii_case("chunked") {
                 Ok(Framing::Chunked)
@@ -398,7 +410,7 @@ impl Head {
 
 /// How a message body is delimited on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Framing {
+enum Framing {
     /// Exactly this many bytes.
     Length(usize),
     /// `Transfer-Encoding: chunked`.
@@ -460,10 +472,7 @@ fn read_line<R: BufRead>(r: &mut R, budget: &mut Budget) -> Result<Option<String
 
 /// Reads a message head within [`MAX_HEADER_BYTES`]. `Ok(None)` is a
 /// clean EOF before its first byte (an idle connection closing).
-pub(crate) fn read_head<R: BufRead>(
-    r: &mut R,
-    what: &'static str,
-) -> Result<Option<Head>, HttpError> {
+fn read_head<R: BufRead>(r: &mut R, what: &'static str) -> Result<Option<Head>, HttpError> {
     let mut budget = Budget::new(what, MAX_HEADER_BYTES);
     let Some(start) = read_line(r, &mut budget)? else {
         return Ok(None);
@@ -483,7 +492,7 @@ pub(crate) fn read_head<R: BufRead>(
 
 /// Reads a body under `framing`, within [`MAX_BODY_BYTES`], growing the
 /// buffer only as bytes arrive.
-pub(crate) fn read_body<R: BufRead>(r: &mut R, framing: Framing) -> Result<Vec<u8>, HttpError> {
+fn read_body<R: BufRead>(r: &mut R, framing: Framing) -> Result<Vec<u8>, HttpError> {
     let mut body = Vec::new();
     match framing {
         Framing::Length(n) => {
@@ -560,6 +569,278 @@ fn read_chunks<R: BufRead>(r: &mut R, body: &mut Vec<u8>) -> Result<(), HttpErro
             None => return Err(trailers.closed()),
         }
     }
+}
+
+/// Connections a server serves at once; a client beyond the cap is
+/// closed unanswered until a slot frees.
+pub(crate) const MAX_CONNECTIONS: usize = 32;
+
+/// How long a server connection may sit idle between requests, or stall
+/// mid-request or mid-answer, before the server closes it. Short, because
+/// an idle client holds one of [`MAX_CONNECTIONS`] slots; cheap, because
+/// [`HttpClient`] reopens a connection the server closed while idle.
+pub(crate) const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long the server keeps draining a rejected request's bytes after
+/// its `400`, so the close does not reset the connection before the
+/// client reads the answer.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// One request, read in full.
+pub(crate) struct Request {
+    pub(crate) method: String,
+    /// Path and query string, as sent.
+    pub(crate) path: String,
+    head: Head,
+    pub(crate) body: String,
+    /// The client lets the connection carry another request.
+    keep_alive: bool,
+}
+
+impl Request {
+    /// The value of header `name` (case-insensitive), if present.
+    pub(crate) fn field(&self, name: &str) -> Option<&str> {
+        self.head.field(name)
+    }
+}
+
+/// A handler's answer; the server adds the framing headers.
+pub(crate) struct Reply {
+    pub(crate) status: u16,
+    pub(crate) content_type: &'static str,
+    pub(crate) body: String,
+}
+
+impl Reply {
+    /// A `text/plain` answer.
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Reply {
+        Reply {
+            status,
+            content_type: "text/plain; charset=utf-8",
+            body: body.into(),
+        }
+    }
+
+    /// An `application/json` answer.
+    pub(crate) fn json(status: u16, body: impl Into<String>) -> Reply {
+        Reply {
+            status,
+            content_type: "application/json",
+            body: body.into(),
+        }
+    }
+
+    /// The `404` for a request no route matches.
+    pub(crate) fn no_route(req: &Request) -> Reply {
+        Reply::text(404, format!("no route for {} {}", req.method, req.path))
+    }
+}
+
+/// Answers one request; `None` closes the connection without an answer.
+type Handler = Box<dyn Fn(&Request) -> Option<Reply> + Send + Sync>;
+
+/// Handle to a running server. Clones share it; it stops when the last
+/// handle drops (or, if a handler is running then, when it returns).
+#[derive(Clone)]
+pub(crate) struct Server {
+    shared: Arc<Shared>,
+}
+
+struct Shared {
+    handler: Handler,
+    addr: SocketAddr,
+    accepted: AtomicU64,
+    /// Open connections by id: their number is held to
+    /// [`MAX_CONNECTIONS`], and `Drop` shuts them down.
+    conns: Mutex<Vec<(u64, TcpStream)>>,
+}
+
+impl Shared {
+    fn conns(&self) -> MutexGuard<'_, Vec<(u64, TcpStream)>> {
+        // Every update is one push or retain, so the list is valid
+        // after a panic elsewhere.
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Drop for Shared {
+    fn drop(&mut self) {
+        // Close every open connection, which ends its thread's blocking
+        // read, and wake the accept loop. Both hold only a Weak to us,
+        // so they exit as soon as they fail to upgrade.
+        let conns = self.conns.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for (_, conn) in conns.drain(..) {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// Binds `addr` and serves every request with `handler` (see the module
+/// docs for the connection rules).
+pub(crate) fn serve(
+    addr: &str,
+    handler: impl Fn(&Request) -> Option<Reply> + Send + Sync + 'static,
+) -> std::io::Result<Server> {
+    let listener = TcpListener::bind(addr)?;
+    let shared = Arc::new(Shared {
+        handler: Box::new(handler),
+        addr: listener.local_addr()?,
+        accepted: AtomicU64::new(0),
+        conns: Mutex::new(Vec::new()),
+    });
+    let weak = Arc::downgrade(&shared);
+    std::thread::Builder::new()
+        .name("http-accept".into())
+        .spawn(move || accept_loop(listener, weak))?;
+    Ok(Server { shared })
+}
+
+impl Server {
+    /// The bound address (resolves port 0).
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.shared.addr
+    }
+
+    /// TCP connections accepted so far, those closed at the cap included.
+    pub(crate) fn connections(&self) -> u64 {
+        self.shared.accepted.load(Ordering::SeqCst)
+    }
+}
+
+fn accept_loop(listener: TcpListener, weak: Weak<Shared>) {
+    for stream in listener.incoming() {
+        let Some(shared) = weak.upgrade() else { return };
+        let Ok(stream) = stream else { continue };
+        let id = shared.accepted.fetch_add(1, Ordering::SeqCst);
+        let mut conns = shared.conns();
+        if conns.len() >= MAX_CONNECTIONS {
+            continue; // dropping the stream closes it
+        }
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        conns.push((id, handle));
+        drop(conns);
+        drop(shared);
+        let conn_weak = weak.clone();
+        let spawned = std::thread::Builder::new()
+            .name("http-conn".into())
+            .spawn(move || {
+                serve_requests(&stream, &conn_weak);
+                forget_conn(&conn_weak, id);
+            });
+        if spawned.is_err() {
+            forget_conn(&weak, id);
+        }
+    }
+}
+
+/// Drops the server's handle on connection `id`, so the socket closes
+/// with its thread's.
+fn forget_conn(weak: &Weak<Shared>, id: u64) {
+    if let Some(shared) = weak.upgrade() {
+        shared.conns().retain(|(i, _)| *i != id);
+    }
+}
+
+/// Serves requests on one connection until EOF, an error, the idle
+/// timeout, a `None` from the handler, a request that ends keep-alive,
+/// or shutdown.
+fn serve_requests(stream: &TcpStream, weak: &Weak<Shared>) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IDLE_TIMEOUT));
+    let mut reader = BufReader::new(stream);
+    loop {
+        let req = match read_request(&mut reader) {
+            Ok(Some(req)) => req,
+            Err(HttpError::Malformed(e)) => {
+                let _ = write_reply(stream, &Reply::text(400, e), false);
+                linger_close(stream);
+                return;
+            }
+            Ok(None) | Err(_) => return,
+        };
+        // A stopped server answers nothing.
+        let Some(reply) = weak.upgrade().and_then(|shared| (shared.handler)(&req)) else {
+            return;
+        };
+        if write_reply(stream, &reply, req.keep_alive).is_err() || !req.keep_alive {
+            return;
+        }
+    }
+}
+
+/// After a `400`: stop sending, then drain what the client already sent
+/// (bounded), so closing does not reset the connection and destroy the
+/// answer before the client reads it.
+fn linger_close(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(LINGER));
+    let _ = std::io::copy(
+        &mut stream.take(MAX_BODY_BYTES as u64),
+        &mut std::io::sink(),
+    );
+}
+
+/// Reads one request in full, within the read caps. `Ok(None)` is the
+/// client closing an idle connection.
+fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError> {
+    let Some(head) = read_head(r, "request head")? else {
+        return Ok(None);
+    };
+    let mut line = head.start.split_whitespace();
+    let (Some(method), Some(path), Some(version)) = (line.next(), line.next(), line.next()) else {
+        return Err(HttpError::Malformed(format!(
+            "bad request line \"{}\"",
+            head.start
+        )));
+    };
+    if !version.starts_with("HTTP/1.") {
+        return Err(HttpError::Malformed(format!(
+            "unsupported version \"{version}\""
+        )));
+    }
+    let (method, path) = (method.to_string(), path.to_string());
+    let keep_alive = head.keeps_alive(version);
+    // A request without framing headers has no body.
+    let framing = match head.body_framing()? {
+        Framing::UntilEof => Framing::Length(0),
+        framing => framing,
+    };
+    let body = String::from_utf8(read_body(r, framing)?)
+        .map_err(|_| HttpError::Malformed("request body is not UTF-8".into()))?;
+    Ok(Some(Request {
+        method,
+        path,
+        head,
+        body,
+        keep_alive,
+    }))
+}
+
+fn write_reply(mut stream: &TcpStream, reply: &Reply, keep_alive: bool) -> std::io::Result<()> {
+    let reason = match reply.status {
+        200 => "OK",
+        400 => "Bad Request",
+        401 => "Unauthorized",
+        404 => "Not Found",
+        _ => "Internal Server Error",
+    };
+    let close = if keep_alive {
+        ""
+    } else {
+        "Connection: close\r\n"
+    };
+    let resp = format!(
+        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{close}\r\n{}",
+        reply.status,
+        reply.content_type,
+        reply.body.len(),
+        reply.body
+    );
+    stream.write_all(resp.as_bytes())
 }
 
 /// Percent-encodes a query-string value (RFC 3986 unreserved set).
@@ -884,5 +1165,86 @@ mod tests {
         assert!(exceeds(result.clone()), "{result:?}");
         // The client hung up, which ends the server's writes.
         server.join().unwrap();
+    }
+
+    /// A server that answers `METHOD PATH` as text, except `/drop`,
+    /// which its handler answers with `None`.
+    fn echo_server() -> Server {
+        serve("127.0.0.1:0", |req| {
+            (req.path != "/drop").then(|| Reply::text(200, format!("{} {}", req.method, req.path)))
+        })
+        .unwrap()
+    }
+
+    /// A client socket whose reads give up before the server's idle
+    /// timeout would close the connection, so only the server's own
+    /// close reads as EOF.
+    fn connect(server: &Server) -> TcpStream {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(IDLE_TIMEOUT / 2)).unwrap();
+        stream
+    }
+
+    #[test]
+    fn one_connection_carries_two_requests() {
+        let server = echo_server();
+        let stream = connect(&server);
+        let mut reader = BufReader::new(&stream);
+        for path in ["/metrics", "/again"] {
+            (&stream)
+                .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+                .unwrap();
+            let (resp, reusable) = read_response(&mut reader).unwrap();
+            assert_eq!(resp.body, format!("GET {path}"));
+            assert!(reusable, "the server ended keep-alive after {path}");
+        }
+        assert_eq!(server.connections(), 1);
+    }
+
+    #[test]
+    fn connection_close_and_plain_http10_get_one_answer_then_eof() {
+        let server = echo_server();
+        for request in [
+            "GET /a HTTP/1.1\r\nConnection: close\r\n\r\n",
+            "GET /a HTTP/1.0\r\n\r\n",
+        ] {
+            let mut stream = connect(&server);
+            stream.write_all(request.as_bytes()).unwrap();
+            let mut answer = String::new();
+            stream.read_to_string(&mut answer).unwrap();
+            assert_eq!(answer.matches("HTTP/1.1 ").count(), 1, "{answer}");
+            assert!(answer.starts_with("HTTP/1.1 200 OK\r\n"), "{answer}");
+            assert!(answer.contains("\r\nConnection: close\r\n"), "{answer}");
+            assert!(answer.ends_with("\r\n\r\nGET /a"), "{answer}");
+        }
+    }
+
+    #[test]
+    fn a_bad_request_line_or_version_gets_a_400_and_a_close() {
+        let server = echo_server();
+        for request in ["BOGUS\r\n\r\n", "GET /a HTTP/2.0\r\n\r\n"] {
+            let mut stream = connect(&server);
+            stream.write_all(request.as_bytes()).unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            let mut answer = String::new();
+            stream.read_to_string(&mut answer).unwrap();
+            assert!(
+                answer.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+                "{answer}"
+            );
+            assert!(answer.contains("\r\nConnection: close\r\n"), "{answer}");
+        }
+    }
+
+    #[test]
+    fn a_none_reply_closes_the_connection_unanswered() {
+        let server = echo_server();
+        let mut stream = connect(&server);
+        stream
+            .write_all(b"GET /drop HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        assert_eq!(answer, "");
     }
 }

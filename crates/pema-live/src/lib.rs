@@ -13,10 +13,11 @@
 //! |---|---|
 //! | [`backend`] | [`LiveBackend`], [`LiveConfig`], [`RetryPolicy`], typed [`LiveError`]s |
 //! | [`clock`] | the [`TimeSource`] seam: [`WallClock`] in production, [`FakeClock`] in tests |
-//! | [`http`] | hand-rolled blocking HTTP/1.1 client (`std::net::TcpStream`, explicit timeouts, no async runtime) |
+//! | [`http`] | hand-rolled blocking HTTP/1.1 client (`std::net::TcpStream`, explicit timeouts, no async runtime) and the one threaded HTTP/1.1 server the fake and `/metrics` run on |
 //! | [`prom`] | `query_range` client + matrix parsing |
 //! | [`kube`] | kubeconfig-lite bearer-token auth + CPU-limit PATCHes |
 //! | [`fake`] | [`FakeCluster`]: an in-process fluid-model-backed HTTP server with fault injection |
+//! | [`metrics`] | [`MetricsServer`]: `GET /metrics` for the controller's self-telemetry |
 //!
 //! The wire protocol, the retry/backoff policy, dry-run semantics, and
 //! FakeCluster usage are documented in `docs/live-backend.md`. The
@@ -27,6 +28,7 @@ pub mod clock;
 pub mod fake;
 pub mod http;
 pub mod kube;
+pub mod metrics;
 pub mod prom;
 
 pub use backend::{LiveBackend, LiveConfig, LiveError, RetryPolicy};
@@ -36,4 +38,5 @@ pub use fake::{
 };
 pub use http::{Endpoint, HttpClient, HttpError};
 pub use kube::{KubeClient, KubeConfigLite, KubeError};
+pub use metrics::MetricsServer;
 pub use prom::{PromClient, PromError, Series};

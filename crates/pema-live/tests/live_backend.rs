@@ -6,9 +6,10 @@
 //! fault kind (drop, delay, 500, garbage body), retry exhaustion
 //! degrading to typed errors instead of panics, §6 early aborts,
 //! wall-clock pacing, the record→replay loop (a dry-run tape
-//! replays through `TraceBackend` with zero divergence), and the
+//! replays through `TraceBackend` with zero divergence), the
 //! keep-alive wire: the connection ledger, one fault per request over
-//! one connection, the server's read caps, and shutdown.
+//! one connection, the server's read caps, and shutdown; and the
+//! bounds on `query_range`.
 
 use pema_control::{
     Clock, ClusterBackend, ControlLoop, Fleet, HarnessConfig, HoldPolicy, MemberSpec,
@@ -22,6 +23,7 @@ use pema_live::{
 };
 use pema_sim::{Allocation, AppSpec, Evaluator as _, FluidEvaluator, MIN_ALLOC};
 use pema_trace::{replay, TraceRecorder};
+use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
@@ -440,6 +442,59 @@ fn retry_telemetry_matches_fakecluster_ground_truth() {
     assert!(report.is_clean(), "scrape lint: {:?}", report.violations);
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// The hand-written ledger check above, over random fault scripts:
+    /// each entry queues its faults just before its window is scraped.
+    /// `Fault::Delay` is left out so each case stays fast (it costs a
+    /// real client timeout).
+    #[test]
+    fn random_fault_scripts_balance_the_retry_books(
+        script in proptest::collection::vec(
+            proptest::collection::vec(
+                prop_oneof![
+                    Just(Fault::Http500),
+                    Just(Fault::GarbageBody),
+                    Just(Fault::DropConnection),
+                ],
+                0..5,
+            ),
+            1..5,
+        ),
+    ) {
+        let hub = pema_telemetry::Telemetry::new();
+        let mut live = live_over_fake(&app(), RPS);
+        live.backend.set_telemetry(&hub);
+        for faults in &script {
+            for fault in faults {
+                live.cluster.inject_fault(fault.clone());
+            }
+            live.measure_window(RPS, 1.0, 8.0);
+        }
+        let truth = live.cluster.fault_stats();
+        let counter =
+            |name: &str, labels: &[(&str, &str)]| hub.counter(name, "", labels).value() as u64;
+        let queued = script.iter().map(Vec::len).sum::<usize>() as u64;
+        // Four faults at most per window, against six queries: every
+        // queued fault fires within its window.
+        prop_assert_eq!(truth.total_faults(), queued);
+        prop_assert_eq!(
+            counter("pema_live_queries_total", &[("target", "prom")]),
+            truth.requests
+        );
+        // A fault costs a retry, or ends a query that used its last
+        // attempt as one scrape error.
+        prop_assert_eq!(
+            counter("pema_live_retries_total", &[("target", "prom")])
+                + counter("pema_live_errors_total", &[("kind", "scrape")]),
+            truth.total_faults()
+        );
+        prop_assert_eq!(counter("pema_live_errors_total", &[("kind", "patch")]), 0);
+        // Each dropped connection is replaced by exactly one new one.
+        prop_assert_eq!(truth.connections, 1 + truth.dropped);
+    }
+}
+
 #[test]
 fn dry_run_records_a_tape_that_replays_with_zero_divergence() {
     let app = app();
@@ -657,8 +712,40 @@ fn dropping_the_fake_live_closes_its_connections() {
         assert!(n > 0, "server closed a kept-alive connection");
         answer.extend_from_slice(&buf[..n]);
     }
+    // The server closes a connection idle for 5 s on its own; read with
+    // a timeout well below that, so only the shutdown on drop can
+    // deliver the EOF in time.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
     drop(live);
     // The server's connection thread closes its end and exits: EOF, not
     // the read timeout.
     assert_eq!(stream.read(&mut buf).unwrap(), 0);
+}
+
+#[test]
+fn query_range_refuses_non_finite_and_over_resolution_ranges() {
+    let cluster = FakeCluster::start(&app(), RPS);
+    let prom = prom_client(&cluster);
+    let query = pema_trace::prom::request_rate_query("pema", 8.0);
+    let refused = |start: f64, end: f64, step: f64| {
+        prom.query_range(&query, start, end, step) == Err(PromError::Status(400))
+    };
+    // 11 000 whole steps (11 001 samples) per series is Prometheus' own
+    // cap: served...
+    assert_eq!(
+        prom.query_range(&query, 0.0, 11_000.0, 1.0).unwrap().len(),
+        1
+    );
+    // ...and one step more, or a tiny step over a short range, is not.
+    assert!(refused(0.0, 11_001.0, 1.0));
+    assert!(refused(0.0, 8.0, 1e-300));
+    // "inf" and "NaN" parse as floats; a range over them never ends.
+    assert!(refused(0.0, f64::INFINITY, 1.0));
+    assert!(refused(f64::NEG_INFINITY, 8.0, 1.0));
+    assert!(refused(0.0, 8.0, f64::INFINITY));
+    assert!(refused(0.0, f64::NAN, 1.0));
+    // Only the served range reached the cluster's scrape log.
+    assert_eq!(cluster.scrape_ranges(), vec![(0.0, 11_000.0)]);
 }

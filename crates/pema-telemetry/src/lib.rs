@@ -12,9 +12,8 @@
 //!   and never touches the registry again.
 //! * [`render`](Telemetry::render) — Prometheus text exposition format
 //!   0.0.4 with deterministic series ordering and label escaping.
-//! * [`MetricsServer`] — a hand-rolled `std::net` threaded HTTP
-//!   listener (same pattern as `pema-live`'s `FakeCluster`; no tokio)
-//!   serving `GET /metrics`.
+//!   `pema-live`'s `MetricsServer` serves it as `GET /metrics`; this
+//!   crate has no network code.
 //! * [`lint()`](lint::lint) — a hand-rolled exposition-format lint (HELP/TYPE
 //!   presence, label escaping, counter monotonicity across scrapes,
 //!   histogram bucket cumulativity) used by tests and CI smoke.
@@ -33,9 +32,7 @@ pub mod events;
 pub mod json;
 pub mod lint;
 pub mod registry;
-pub mod server;
 
 pub use events::{EventField, EventSink};
 pub use lint::{lint, LintReport};
 pub use registry::{Counter, Gauge, Histogram, MetricKind, Telemetry, DEFAULT_SECONDS_BUCKETS};
-pub use server::MetricsServer;

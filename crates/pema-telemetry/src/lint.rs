@@ -1,9 +1,9 @@
 //! A hand-rolled lint for Prometheus text exposition format 0.0.4.
 //!
 //! Used three ways: unit tests lint rendered registries, integration
-//! tests lint live scrapes of [`MetricsServer`](crate::MetricsServer),
-//! and CI pipes `pema-cli metrics` scrapes through it mid-run. The
-//! checks encode the format rules our own exporter must uphold:
+//! tests lint live scrapes of `pema_live::MetricsServer`, and CI pipes
+//! `pema-cli metrics` scrapes through it mid-run. The checks encode the
+//! format rules our own exporter must uphold:
 //!
 //! * every sample belongs to a family with `# HELP` and `# TYPE`
 //!   declared before its first sample;

@@ -23,7 +23,7 @@
 //! | [`pema_classifier`] | bottleneck-detection study (paper Table 1) |
 //! | [`pema_metrics`] | latency histograms, moving-average windows, summary statistics |
 //! | [`pema_trace`] | trace record/replay: versioned JSONL traces, [`TraceBackend`](pema_trace::TraceBackend) counterfactual replayer |
-//! | [`pema_live`] | live-cluster adapter: [`LiveBackend`](pema_live::LiveBackend) scrapes Prometheus / patches Kubernetes over hand-rolled HTTP, plus the in-process [`FakeCluster`](pema_live::FakeCluster) test server |
+//! | [`pema_live`] | live-cluster adapter: [`LiveBackend`](pema_live::LiveBackend) scrapes Prometheus / patches Kubernetes over hand-rolled HTTP, plus the in-process [`FakeCluster`](pema_live::FakeCluster) test server and the `/metrics` [`MetricsServer`](pema_live::MetricsServer), both on one HTTP/1.1 server |
 //! | `pema-bench` | scenario registry + parallel deterministic executor |
 //!
 //! ## The experiment suite
@@ -90,13 +90,13 @@ pub mod prelude {
     };
     pub use pema_live::{
         live_over_fake, FakeClock, FakeCluster, KubeConfigLite, LiveBackend, LiveConfig, LiveError,
-        RetryPolicy, TimeSource, WallClock,
+        MetricsServer, RetryPolicy, TimeSource, WallClock,
     };
     pub use pema_sim::{
         Allocation, AppSpec, ClusterSim, Evaluator, FluidEvaluator, SimEvaluator, TailCurve,
         TailModel, WindowStats,
     };
-    pub use pema_telemetry::{EventSink, MetricsServer, Telemetry};
+    pub use pema_telemetry::{EventSink, Telemetry};
     pub use pema_trace::{
         rebase_stats, rebase_stats_with, replay, DivergenceSummary, IntervalDivergence, ReadMode,
         ReplayRun, Trace, TraceBackend, TraceRecorder,
